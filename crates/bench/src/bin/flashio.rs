@@ -31,7 +31,7 @@
 
 use std::time::Duration;
 use uflip_bench::{mean_ms, DeviceTarget, RealDeviceSpec, RealOpenMode};
-use uflip_core::executor::{execute_run_observed, execute_run_with_policy};
+use uflip_core::executor::execute_run_with_policy;
 use uflip_core::methodology::state::enforce_random_state;
 use uflip_core::micro::{
     alignment, bursts, granularity, locality, mix, order, parallelism, partitioning, pause,
@@ -393,7 +393,7 @@ fn main() {
                 let mut dev = open_device(&cli, &sink);
                 let cfg = suite_cfg(cli.quick, dev.capacity_bytes());
                 let opts = SuiteOptions {
-                    io_policy: (!cli.io_policy.is_noop()).then_some(cli.io_policy),
+                    io_policy: cli.io_policy,
                     ..Default::default()
                 };
                 // Always run the suite observed: with --metrics the
@@ -468,7 +468,8 @@ fn main() {
                 ),
             ] {
                 let before = WearReport::from_device(&dev);
-                execute_run_observed(dev.as_mut(), &spec, &sink).expect("run");
+                execute_run_with_policy(dev.as_mut(), &spec, &IoPolicy::none(), &sink)
+                    .expect("run");
                 dev.idle(Duration::from_secs(5));
                 let delta = WearReport::from_device(&dev).delta(&before);
                 println!("  {name}: {}", delta.row());

@@ -26,8 +26,9 @@ use std::time::Duration;
 use uflip_bench::{
     prefill_real_device, prepared_device, DeviceTarget, HarnessOptions, RealDeviceSpec,
 };
-use uflip_core::executor::execute_parallel_observed;
+use uflip_core::executor::execute_parallel_with_policy;
 use uflip_core::micro::parallelism::queue_depths;
+use uflip_core::IoPolicy;
 use uflip_device::profiles::catalog;
 use uflip_device::BlockDevice;
 use uflip_patterns::{LbaFn, Mode, ParallelSpec, PatternSpec};
@@ -84,7 +85,8 @@ fn sweep_real(
         let mut base_iops = 0.0;
         for depth in queue_depths() {
             let par = ParallelSpec::new(base, 16).with_queue_depth(depth);
-            let run = execute_parallel_observed(&mut dev, &par, sink).expect("sweep point");
+            let run = execute_parallel_with_policy(&mut dev, &par, &IoPolicy::none(), sink)
+                .expect("sweep point");
             if let Some(e) = dev.take_async_error() {
                 eprintln!("asynchronous IO error during {code} qd{depth}: {e}");
                 std::process::exit(1);
@@ -164,7 +166,8 @@ fn main() {
                 dev.idle(Duration::from_secs(5));
                 let par = ParallelSpec::new(base, 16).with_queue_depth(depth);
                 let run =
-                    execute_parallel_observed(dev.as_mut(), &par, &sink).expect("sweep point");
+                    execute_parallel_with_policy(dev.as_mut(), &par, &IoPolicy::none(), &sink)
+                        .expect("sweep point");
                 let secs = run.elapsed.as_secs_f64();
                 let iops = if secs > 0.0 {
                     run.len() as f64 / secs

@@ -51,12 +51,13 @@
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use uflip_core::executor::execute_parallel_observed;
+use uflip_core::executor::execute_parallel_with_policy;
 use uflip_core::methodology::plan::BenchmarkPlan;
 use uflip_core::micro::MicroConfig;
-use uflip_core::replay::{replay_trace_observed, ReplayMode};
+use uflip_core::replay::{replay_trace_with_policy, ReplayMode};
 use uflip_core::run::RunResult;
 use uflip_core::suite::{execute_plan_observed, full_suite, SuiteOptions, SuiteResult};
+use uflip_core::IoPolicy;
 use uflip_device::profiles::catalog;
 use uflip_device::SimDevice;
 use uflip_patterns::{LbaFn, Mode, ParallelSpec, PatternSpec};
@@ -294,7 +295,7 @@ fn timed_replay(
     sink: &uflip_obs::SinkHandle,
 ) -> Measure {
     let t = Instant::now();
-    let run = replay_trace_observed(dev, trace, mode, sink).expect("replay");
+    let run = replay_trace_with_policy(dev, trace, mode, &IoPolicy::none(), sink).expect("replay");
     let host_s = t.elapsed().as_secs_f64();
     Measure {
         host_s,
@@ -309,7 +310,8 @@ fn timed_parallel(
     sink: &uflip_obs::SinkHandle,
 ) -> Measure {
     let t = Instant::now();
-    let run = execute_parallel_observed(dev, par, sink).expect("parallel run");
+    let run =
+        execute_parallel_with_policy(dev, par, &IoPolicy::none(), sink).expect("parallel run");
     let host_s = t.elapsed().as_secs_f64();
     Measure {
         host_s,

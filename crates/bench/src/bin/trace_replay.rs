@@ -31,9 +31,9 @@
 
 use serde::Serialize;
 use uflip_bench::{prefill_real_device, HarnessOptions, RealDeviceSpec};
-use uflip_core::executor::execute_run_observed;
+use uflip_core::executor::execute_run_with_policy;
 use uflip_core::replay::{replay_trace_with_policy, ReplayMode};
-use uflip_core::RunResult;
+use uflip_core::{IoPolicy, RunResult};
 use uflip_device::profiles::catalog;
 use uflip_device::{BlockDevice, TracingDevice};
 use uflip_patterns::PatternSpec;
@@ -73,7 +73,8 @@ fn main_real(spec: &RealDeviceSpec, opts: &HarnessOptions, sink: &uflip_obs::Sin
     // --- 1. Capture -------------------------------------------------
     let pattern = PatternSpec::baseline_rr(16 * 1024, window, count);
     let mut traced = TracingDevice::new(dev).with_label("RR");
-    let capture = execute_run_observed(&mut traced, &pattern, sink).expect("capture run");
+    let capture = execute_run_with_policy(&mut traced, &pattern, &IoPolicy::none(), sink)
+        .expect("capture run");
     let (dev, trace) = traced.into_parts();
     // Faults apply to the replays, not the capture — a fault-ridden
     // capture would bake the injected latencies into the trace itself.
@@ -205,7 +206,8 @@ fn main() {
     // --- 1. Capture -------------------------------------------------
     let spec = PatternSpec::baseline_rr(2 * 1024, window, count);
     let mut traced = TracingDevice::new(*capture_profile.build_sim(seed)).with_label("RR");
-    let capture = execute_run_observed(&mut traced, &spec, &sink).expect("capture run");
+    let capture =
+        execute_run_with_policy(&mut traced, &spec, &IoPolicy::none(), &sink).expect("capture run");
     let (_, trace) = traced.into_parts();
     let profile = profile_trace(&trace);
     if opts.json {

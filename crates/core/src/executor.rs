@@ -11,6 +11,27 @@
 //!   processes each issue their next IO as soon as their previous one
 //!   completes.
 //!
+//! ## One loop per shape
+//!
+//! Each class has exactly one IO loop; parallel patterns have two
+//! shapes, the queued event calendar and the host-side serial
+//! interleaving. Every loop runs under an [`IoPolicy`] and a
+//! [`uflip_obs::SinkHandle`] taken as values: the plain entry points
+//! pass [`IoPolicy::none`] and the null sink, the `_with_policy` entry
+//! points pass the caller's and bracket the run with observation (see
+//! `observe.rs`): an enabled sink is attached to the device, receives
+//! the running-phase response times under the pattern's latency class,
+//! and one [`uflip_obs::WorkloadMetrics`] record of the run's counter
+//! delta. A null sink is never attached, so a plain run leaves a sink
+//! the caller attached to the device in place — that sink still counts
+//! the run's host IOs.
+//!
+//! The loops call `read`/`write`/`submit` directly. Only a failed call
+//! reaches the policy, in a cold retry continuation (see
+//! [`crate::policy`]); under the noop policy it hands the error
+//! straight back, so a run without a policy costs what a policy-free
+//! loop would.
+//!
 //! ## How parallel patterns are served
 //!
 //! When the device exposes an [`uflip_device::IoQueue`] (every
@@ -49,14 +70,9 @@
 //! real devices), and a blocking `poll` simply stands in for "advance
 //! virtual time to the next completion". Response times remain
 //! completion − submission on the device's own clock in both worlds.
-//!
-//! [`execute_parallel_threads`] remains available for measuring with
-//! independent OS threads over per-process device handles (one file
-//! descriptor per process, the OS scheduler doing the interleaving)
-//! rather than a shared submission queue.
 
 use crate::observe;
-use crate::policy::{self, IoPolicy, SubmitOutcome};
+use crate::policy::{IoContext, IoPolicy, SubmitOutcome};
 use crate::run::RunResult;
 use crate::slab::TokenSlab;
 use crate::Result;
@@ -64,62 +80,53 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Duration;
 use uflip_device::{BlockDevice, DeviceError, Token};
-use uflip_patterns::{IoRequest, MixSpec, Mode, ParallelSpec, PatternSpec};
-
-fn issue(dev: &mut dyn BlockDevice, io: &IoRequest) -> Result<Duration> {
-    match io.mode {
-        Mode::Read => dev.read(io.offset, io.size),
-        Mode::Write => dev.write(io.offset, io.size),
-    }
-}
+use uflip_obs::{LatencyClass, SinkHandle};
+use uflip_patterns::{IoRequest, MixSpec, ParallelSpec, PatternSpec};
 
 /// Execute a basic pattern synchronously. Returns the per-IO trace.
 pub fn execute_run(dev: &mut dyn BlockDevice, spec: &PatternSpec) -> Result<RunResult> {
-    debug_assert!(
-        spec.validate().is_ok(),
-        "invalid spec: {:?}",
-        spec.validate()
-    );
-    let start = dev.now();
-    let mut rts = Vec::with_capacity(spec.io_count as usize);
-    for io in spec.iter() {
-        if io.submit_delay > Duration::ZERO {
-            dev.idle(io.submit_delay);
-        }
-        rts.push(issue(dev, &io)?);
-    }
-    Ok(RunResult::new(
-        spec.code(),
-        rts,
-        spec.io_ignore,
-        dev.now() - start,
-    ))
+    execute_run_with_policy(dev, spec, &IoPolicy::none(), &SinkHandle::null())
+}
+
+/// [`execute_run`] under an [`IoPolicy`], observed by `sink`: transient
+/// IO failures are retried with backoff (spent as device idle time),
+/// slow IOs are counted as timeouts, and a degrading policy records an
+/// exhausted IO's accumulated backoff instead of aborting. An enabled
+/// sink also receives the running-phase response times under the
+/// pattern's latency class and the run's [`uflip_obs::WorkloadMetrics`]
+/// record (see the module docs).
+pub fn execute_run_with_policy(
+    dev: &mut dyn BlockDevice,
+    spec: &PatternSpec,
+    policy: &IoPolicy,
+    sink: &SinkHandle,
+) -> Result<RunResult> {
+    let before = observe::attach(dev, sink);
+    let run = run_basic(dev, spec, &mut IoContext::new(policy, sink))?;
+    observe::record(sink, observe::class_of(spec.mode), &run, before);
+    Ok(run)
 }
 
 /// Execute a mixed pattern, returning the run plus each IO's process
 /// tag (0 = sub-pattern a, 1 = b).
-///
-/// Mixed streams are a serial dependency chain — each IO is submitted
-/// only after the previous completes — so they deliberately use the
-/// synchronous `read`/`write` interface even on queue-capable devices.
-/// The queue engine admits against per-channel busy tracks, where
-/// background work (log merges, reclamation) parks time that the
-/// synchronous path charges differently; riding the queue at depth 1
-/// would therefore let a GC tail from one write delay the next IO and
-/// change measured response times. Keeping the synchronous path keeps
-/// the Mix micro-benchmark bit-stable with every earlier result.
 pub fn execute_mixed(dev: &mut dyn BlockDevice, mix: &MixSpec) -> Result<(RunResult, Vec<u16>)> {
-    let start = dev.now();
-    let mut rts = Vec::with_capacity(mix.io_count as usize);
-    let mut procs = Vec::with_capacity(mix.io_count as usize);
-    for io in mix.iter() {
-        if io.submit_delay > Duration::ZERO {
-            dev.idle(io.submit_delay);
-        }
-        rts.push(issue(dev, &io)?);
-        procs.push(io.process);
-    }
-    Ok((RunResult::new(mix.name(), rts, 0, dev.now() - start), procs))
+    execute_mixed_with_policy(dev, mix, &IoPolicy::none(), &SinkHandle::null())
+}
+
+/// [`execute_mixed`] under an [`IoPolicy`], observed by `sink` (see
+/// [`execute_run_with_policy`]), with the response times recorded
+/// under [`LatencyClass::Mixed`]: a mix interleaves reads and writes
+/// in one stream.
+pub fn execute_mixed_with_policy(
+    dev: &mut dyn BlockDevice,
+    mix: &MixSpec,
+    policy: &IoPolicy,
+    sink: &SinkHandle,
+) -> Result<(RunResult, Vec<u16>)> {
+    let before = observe::attach(dev, sink);
+    let (run, procs) = run_mixed(dev, mix, &mut IoContext::new(policy, sink))?;
+    observe::record(sink, LatencyClass::Mixed, &run, before);
+    Ok((run, procs))
 }
 
 /// Execute a parallel pattern.
@@ -131,42 +138,59 @@ pub fn execute_mixed(dev: &mut dyn BlockDevice, mix: &MixSpec) -> Result<(RunRes
 /// measure.
 ///
 /// Queue-capable devices are driven through their submit/poll
-/// [`IoQueue`] (see the module docs); others fall back to host-side
-/// serial interleaving, equivalent to queue depth 1.
+/// [`uflip_device::IoQueue`] (see the module docs); others fall back to
+/// host-side serial interleaving, equivalent to queue depth 1.
 pub fn execute_parallel(dev: &mut dyn BlockDevice, par: &ParallelSpec) -> Result<RunResult> {
-    if dev.io_queue().is_some() {
-        execute_parallel_queued(dev, par)
-    } else {
-        execute_parallel_serial(dev, par)
-    }
+    execute_parallel_with_policy(dev, par, &IoPolicy::none(), &SinkHandle::null())
 }
 
-/// [`execute_run`] under an [`IoPolicy`]: transient IO failures are
-/// retried with backoff (spent as device idle time), slow completions
-/// are counted as timeouts, and a degrading policy records an
-/// exhausted IO's accumulated backoff instead of aborting. With the
-/// noop policy this *is* [`execute_run`] — same code path, bit-stable.
-pub fn execute_run_with_policy(
+/// [`execute_parallel`] under an [`IoPolicy`], observed by `sink` (see
+/// [`execute_run_with_policy`]; the latency class is the base
+/// pattern's mode). On a queue, a transient submit-time rejection
+/// retries with the backoff applied to the submission instant — the
+/// response time, completion − intended submission, includes it — and
+/// queue back-pressure stays the event loop's flow control.
+pub fn execute_parallel_with_policy(
+    dev: &mut dyn BlockDevice,
+    par: &ParallelSpec,
+    policy: &IoPolicy,
+    sink: &SinkHandle,
+) -> Result<RunResult> {
+    let before = observe::attach(dev, sink);
+    let run = run_parallel(dev, par, &mut IoContext::new(policy, sink))?;
+    observe::record(sink, observe::class_of(par.base.mode), &run, before);
+    Ok(run)
+}
+
+/// Host-side virtual-time interleaving of a parallel pattern over a
+/// device that serves one IO at a time — what [`execute_parallel`] does
+/// on devices without a queue, and the reference semantics the queue
+/// engine must reproduce at depth 1.
+pub fn execute_parallel_serial(dev: &mut dyn BlockDevice, par: &ParallelSpec) -> Result<RunResult> {
+    let (policy, sink) = (IoPolicy::none(), SinkHandle::null());
+    run_parallel_serial(dev, par, &mut IoContext::new(&policy, &sink))
+}
+
+/// The basic-pattern loop.
+pub(crate) fn run_basic(
     dev: &mut dyn BlockDevice,
     spec: &PatternSpec,
-    policy: &IoPolicy,
-    sink: &uflip_obs::SinkHandle,
+    ctx: &mut IoContext,
 ) -> Result<RunResult> {
-    if policy.is_noop() {
-        return execute_run(dev, spec);
-    }
-    let enabled = sink.is_enabled();
-    let mut rng = policy.jitter_seed;
+    debug_assert!(
+        spec.validate().is_ok(),
+        "invalid spec: {:?}",
+        spec.validate()
+    );
     let start = dev.now();
     let mut rts = Vec::with_capacity(spec.io_count as usize);
     for io in spec.iter() {
         if io.submit_delay > Duration::ZERO {
             dev.idle(io.submit_delay);
         }
-        rts.push(policy::issue_with_policy(
-            dev, &io, policy, &mut rng, sink, enabled,
-        )?);
+        rts.push(ctx.issue(dev, &io)?);
     }
+    ctx.count_timeouts(&rts);
     Ok(RunResult::new(
         spec.code(),
         rts,
@@ -175,19 +199,22 @@ pub fn execute_run_with_policy(
     ))
 }
 
-/// [`execute_mixed`] under an [`IoPolicy`] (see
-/// [`execute_run_with_policy`] for the semantics).
-pub fn execute_mixed_with_policy(
+/// The mixed-pattern loop.
+///
+/// Mixed streams are a serial dependency chain — each IO is submitted
+/// only after the previous completes — so they deliberately use the
+/// synchronous `read`/`write` interface even on queue-capable devices.
+/// The queue engine admits against per-channel busy tracks, where
+/// background work (log merges, reclamation) parks time that the
+/// synchronous path charges differently; riding the queue at depth 1
+/// would therefore let a GC tail from one write delay the next IO and
+/// change measured response times. Keeping the synchronous path keeps
+/// the Mix micro-benchmark bit-stable with every earlier result.
+pub(crate) fn run_mixed(
     dev: &mut dyn BlockDevice,
     mix: &MixSpec,
-    policy: &IoPolicy,
-    sink: &uflip_obs::SinkHandle,
+    ctx: &mut IoContext,
 ) -> Result<(RunResult, Vec<u16>)> {
-    if policy.is_noop() {
-        return execute_mixed(dev, mix);
-    }
-    let enabled = sink.is_enabled();
-    let mut rng = policy.jitter_seed;
     let start = dev.now();
     let mut rts = Vec::with_capacity(mix.io_count as usize);
     let mut procs = Vec::with_capacity(mix.io_count as usize);
@@ -195,106 +222,24 @@ pub fn execute_mixed_with_policy(
         if io.submit_delay > Duration::ZERO {
             dev.idle(io.submit_delay);
         }
-        rts.push(policy::issue_with_policy(
-            dev, &io, policy, &mut rng, sink, enabled,
-        )?);
+        rts.push(ctx.issue(dev, &io)?);
         procs.push(io.process);
     }
+    ctx.count_timeouts(&rts);
     Ok((RunResult::new(mix.name(), rts, 0, dev.now() - start), procs))
 }
 
-/// [`execute_parallel`] under an [`IoPolicy`]: submit-time transient
-/// rejections retry with the backoff applied to the submission
-/// instant (the response time, completion − intended submission,
-/// includes it); queue back-pressure is handled by the event loop as
-/// always. With the noop policy this *is* [`execute_parallel`].
-pub fn execute_parallel_with_policy(
+/// A parallel pattern on the loop its device calls for.
+pub(crate) fn run_parallel(
     dev: &mut dyn BlockDevice,
     par: &ParallelSpec,
-    policy: &IoPolicy,
-    sink: &uflip_obs::SinkHandle,
+    ctx: &mut IoContext,
 ) -> Result<RunResult> {
-    if policy.is_noop() {
-        return execute_parallel(dev, par);
-    }
     if dev.io_queue().is_some() {
-        execute_parallel_queued_with_policy(dev, par, policy, sink)
+        run_parallel_queued(dev, par, ctx)
     } else {
-        execute_parallel_serial_with_policy(dev, par, policy, sink)
+        run_parallel_serial(dev, par, ctx)
     }
-}
-
-/// Observed [`execute_run`]: attach `sink` to the device, execute the
-/// pattern, then record the running-phase response times under the
-/// pattern's latency class and emit the run's counter delta as a
-/// [`uflip_obs::WorkloadMetrics`] record. With a null sink this is
-/// exactly [`execute_run`] (the sink attach is a no-op handle store).
-pub fn execute_run_observed(
-    dev: &mut dyn BlockDevice,
-    spec: &PatternSpec,
-    sink: &uflip_obs::SinkHandle,
-) -> Result<RunResult> {
-    dev.set_sink(sink.clone());
-    let observed = sink.is_enabled();
-    let before = observed.then(|| observe::counters_now(sink));
-    let run = execute_run(dev, spec)?;
-    if observed {
-        let class = match spec.mode {
-            Mode::Read => uflip_obs::LatencyClass::Read,
-            Mode::Write => uflip_obs::LatencyClass::Write,
-        };
-        observe::record_run_latencies(sink, class, &run);
-        if let Some(before) = &before {
-            observe::emit_workload_delta(sink, &run.label, before);
-        }
-    }
-    Ok(run)
-}
-
-/// Observed [`execute_mixed`]: as [`execute_run_observed`], with the
-/// response times recorded under [`uflip_obs::LatencyClass::Mixed`]
-/// (mix runs interleave reads and writes in one stream).
-pub fn execute_mixed_observed(
-    dev: &mut dyn BlockDevice,
-    mix: &MixSpec,
-    sink: &uflip_obs::SinkHandle,
-) -> Result<(RunResult, Vec<u16>)> {
-    dev.set_sink(sink.clone());
-    let observed = sink.is_enabled();
-    let before = observed.then(|| observe::counters_now(sink));
-    let (run, procs) = execute_mixed(dev, mix)?;
-    if observed {
-        observe::record_run_latencies(sink, uflip_obs::LatencyClass::Mixed, &run);
-        if let Some(before) = &before {
-            observe::emit_workload_delta(sink, &run.label, before);
-        }
-    }
-    Ok((run, procs))
-}
-
-/// Observed [`execute_parallel`]: as [`execute_run_observed`], with
-/// the latency class taken from the base pattern's mode (every
-/// process replays the same single-mode pattern).
-pub fn execute_parallel_observed(
-    dev: &mut dyn BlockDevice,
-    par: &ParallelSpec,
-    sink: &uflip_obs::SinkHandle,
-) -> Result<RunResult> {
-    dev.set_sink(sink.clone());
-    let observed = sink.is_enabled();
-    let before = observed.then(|| observe::counters_now(sink));
-    let run = execute_parallel(dev, par)?;
-    if observed {
-        let class = match par.base.mode {
-            Mode::Read => uflip_obs::LatencyClass::Read,
-            Mode::Write => uflip_obs::LatencyClass::Write,
-        };
-        observe::record_run_latencies(sink, class, &run);
-        if let Some(before) = &before {
-            observe::emit_workload_delta(sink, &run.label, before);
-        }
-    }
-    Ok(run)
 }
 
 /// Drive a queue-capable device with the parallel pattern's processes.
@@ -321,10 +266,13 @@ pub fn execute_parallel_observed(
 /// instead of the linear scan over every process the loop used to pay
 /// per iteration — with ties broken toward the lower process index,
 /// exactly the first-minimal element `min_by_key` picked, so the
-/// schedule is bit-identical to the scan
-/// ([`execute_parallel_queued_reference`] keeps the old loop as the
-/// behavioral reference).
-fn execute_parallel_queued(dev: &mut dyn BlockDevice, par: &ParallelSpec) -> Result<RunResult> {
+/// schedule is bit-identical to the scan (`tests/executor_equivalence.rs`
+/// keeps the old loop as the behavioral reference).
+fn run_parallel_queued(
+    dev: &mut dyn BlockDevice,
+    par: &ParallelSpec,
+    ctx: &mut IoContext,
+) -> Result<RunResult> {
     let specs = par.process_specs();
     let total_ios: usize = specs.iter().map(|s| s.io_count as usize).sum();
     let mut streams: Vec<_> = specs.into_iter().map(|s| s.iter()).collect();
@@ -400,147 +348,16 @@ fn execute_parallel_queued(dev: &mut dyn BlockDevice, par: &ParallelSpec) -> Res
         let io = pending[p]
             .take()
             .ok_or(DeviceError::Internal("calendar entry without an IO"))?;
-        match queue.submit(&io, submit) {
-            Ok(token) => {
+        match ctx.submit(queue, &io, submit)? {
+            SubmitOutcome::Submitted(token) => {
                 inflight.insert(token, (p, submit, seq));
                 seq += 1;
                 rts.push(Duration::ZERO); // placeholder until completion
                 pending[p] = streams[p].next();
                 // p re-enters the calendar when this IO completes.
             }
-            Err(DeviceError::QueueFull { .. }) => {
-                // Back-pressure: retire one completion and retry.
-                pending[p] = Some(io);
-                calendar.push(Reverse((submit, p)));
-                let (token, completion) = queue
-                    .poll()
-                    .ok_or(DeviceError::Internal("full queue with nothing to poll"))?;
-                retire(
-                    &mut inflight,
-                    &mut calendar,
-                    &mut ready,
-                    &pending,
-                    &mut rts,
-                    token,
-                    completion,
-                );
-                last_completion = last_completion.max(completion);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if queue.queue_depth() != device_depth {
-        queue.set_queue_depth(device_depth)?;
-    }
-    Ok(RunResult::new(par.name(), rts, 0, last_completion - base))
-}
-
-/// Book a completed IO: compute its response time into `rts` (indexed
-/// by submission order) and return its process to the calendar with
-/// the submission instant of the process's next IO.
-#[allow(clippy::too_many_arguments)]
-fn retire(
-    inflight: &mut TokenSlab<(usize, Duration, usize)>,
-    calendar: &mut BinaryHeap<Reverse<(Duration, usize)>>,
-    ready: &mut [Duration],
-    pending: &[Option<IoRequest>],
-    rts: &mut [Duration],
-    token: Token,
-    completion: Duration,
-) {
-    let (p, submit, seq) = inflight.remove(token);
-    rts[seq] = completion - submit;
-    ready[p] = completion;
-    if let Some(io) = &pending[p] {
-        calendar.push(Reverse((completion + io.submit_delay, p)));
-    }
-}
-
-/// The policy-aware twin of [`execute_parallel_queued`]: identical
-/// event loop, with submissions mediated by
-/// [`policy::submit_with_policy`]. Kept separate so the plain loop
-/// stays free of policy branches (and bit-stable).
-fn execute_parallel_queued_with_policy(
-    dev: &mut dyn BlockDevice,
-    par: &ParallelSpec,
-    policy: &IoPolicy,
-    sink: &uflip_obs::SinkHandle,
-) -> Result<RunResult> {
-    let enabled = sink.is_enabled();
-    let mut rng = policy.jitter_seed;
-    let specs = par.process_specs();
-    let total_ios: usize = specs.iter().map(|s| s.io_count as usize).sum();
-    let mut streams: Vec<_> = specs.into_iter().map(|s| s.iter()).collect();
-    let n = streams.len();
-    let base = dev.now();
-    let mut ready: Vec<Duration> = vec![base; n];
-    let mut pending: Vec<Option<IoRequest>> = streams.iter_mut().map(|s| s.next()).collect();
-    let queue = dev
-        .io_queue()
-        .ok_or(DeviceError::Internal("device lost its queue mid-run"))?;
-    let device_depth = queue.queue_depth();
-    if let Some(depth) = par.queue_depth {
-        queue.set_queue_depth(depth)?;
-    }
-    let mut calendar: BinaryHeap<Reverse<(Duration, usize)>> = BinaryHeap::with_capacity(n);
-    for (p, io) in pending.iter().enumerate() {
-        if let Some(io) = io {
-            calendar.push(Reverse((ready[p] + io.submit_delay, p)));
-        }
-    }
-    let mut inflight: TokenSlab<(usize, Duration, usize)> = TokenSlab::new();
-    let mut rts: Vec<Duration> = Vec::with_capacity(total_ios);
-    let mut seq = 0usize;
-    let mut last_completion = base;
-    loop {
-        let Some(&Reverse((submit, p))) = calendar.peek() else {
-            match queue.poll() {
-                Some((token, completion)) => {
-                    retire(
-                        &mut inflight,
-                        &mut calendar,
-                        &mut ready,
-                        &pending,
-                        &mut rts,
-                        token,
-                        completion,
-                    );
-                    last_completion = last_completion.max(completion);
-                    continue;
-                }
-                None => break,
-            }
-        };
-        if let Some(next_done) = queue.next_completion() {
-            if next_done <= submit {
-                let (token, completion) = queue
-                    .poll()
-                    .ok_or(DeviceError::Internal("peeked completion vanished"))?;
-                retire(
-                    &mut inflight,
-                    &mut calendar,
-                    &mut ready,
-                    &pending,
-                    &mut rts,
-                    token,
-                    completion,
-                );
-                last_completion = last_completion.max(completion);
-                continue;
-            }
-        }
-        calendar.pop();
-        let io = pending[p]
-            .take()
-            .ok_or(DeviceError::Internal("calendar entry without an IO"))?;
-        match policy::submit_with_policy(queue, &io, submit, policy, &mut rng, sink, enabled)? {
-            SubmitOutcome::Submitted(token) => {
-                inflight.insert(token, (p, submit, seq));
-                seq += 1;
-                rts.push(Duration::ZERO); // placeholder until completion
-                pending[p] = streams[p].next();
-            }
             SubmitOutcome::Full => {
+                // Back-pressure: retire one completion and retry.
                 pending[p] = Some(io);
                 calendar.push(Reverse((submit, p)));
                 let (token, completion) = queue
@@ -571,181 +388,41 @@ fn execute_parallel_queued_with_policy(
             }
         }
     }
-    // Timeouts are observed over final response times (a queued IO's
-    // slowness is only known at completion).
-    if policy.timeout.is_some() {
-        for &rt in &rts {
-            policy::observe_timeout(policy, rt, sink, enabled);
-        }
-    }
+    ctx.count_timeouts(&rts);
     if queue.queue_depth() != device_depth {
         queue.set_queue_depth(device_depth)?;
     }
     Ok(RunResult::new(par.name(), rts, 0, last_completion - base))
 }
 
-/// The policy-aware twin of [`execute_parallel_serial`].
-fn execute_parallel_serial_with_policy(
-    dev: &mut dyn BlockDevice,
-    par: &ParallelSpec,
-    policy: &IoPolicy,
-    sink: &uflip_obs::SinkHandle,
-) -> Result<RunResult> {
-    let enabled = sink.is_enabled();
-    let mut rng = policy.jitter_seed;
-    let mut streams: Vec<_> = par.process_specs().into_iter().map(|s| s.iter()).collect();
-    let base = dev.now();
-    let mut ready: Vec<Duration> = vec![base; streams.len()];
-    let mut pending: Vec<Option<IoRequest>> = streams.iter_mut().map(|s| s.next()).collect();
-    let mut device_free = base;
-    let mut rts = Vec::new();
-    while let Some(p) = (0..streams.len())
-        .filter(|&p| pending[p].is_some())
-        .min_by_key(|&p| {
-            pending[p]
-                .as_ref()
-                .map_or(Duration::MAX, |io| ready[p] + io.submit_delay)
-        })
-    {
-        let Some(io) = pending[p].take() else { break };
-        let submit = ready[p] + io.submit_delay;
-        if submit > device_free {
-            dev.idle(submit - device_free);
-            device_free = submit;
-        }
-        let service = policy::issue_with_policy(dev, &io, policy, &mut rng, sink, enabled)?;
-        let completion = device_free.max(submit) + service;
-        rts.push(completion - submit);
-        device_free = completion;
-        ready[p] = completion;
-        pending[p] = streams[p].next();
+/// Book a completed IO: compute its response time into `rts` (indexed
+/// by submission order) and return its process to the calendar with
+/// the submission instant of the process's next IO.
+#[allow(clippy::too_many_arguments)]
+fn retire(
+    inflight: &mut TokenSlab<(usize, Duration, usize)>,
+    calendar: &mut BinaryHeap<Reverse<(Duration, usize)>>,
+    ready: &mut [Duration],
+    pending: &[Option<IoRequest>],
+    rts: &mut [Duration],
+    token: Token,
+    completion: Duration,
+) {
+    let (p, submit, seq) = inflight.remove(token);
+    rts[seq] = completion - submit;
+    ready[p] = completion;
+    if let Some(io) = &pending[p] {
+        calendar.push(Reverse((completion + io.submit_delay, p)));
     }
-    Ok(RunResult::new(par.name(), rts, 0, device_free - base))
 }
 
-/// The pre-calendar queued executor: per-iteration linear scan over
-/// every process for the earliest submission. Kept as the behavioral
-/// reference the calendar loop must match bit-for-bit — the
-/// equivalence property tests drive both against cloned devices and
-/// assert identical [`RunResult`]s.
-pub fn execute_parallel_queued_reference(
+/// The host-side serial interleaving loop (see
+/// [`execute_parallel_serial`]).
+fn run_parallel_serial(
     dev: &mut dyn BlockDevice,
     par: &ParallelSpec,
+    ctx: &mut IoContext,
 ) -> Result<RunResult> {
-    let mut streams: Vec<_> = par.process_specs().into_iter().map(|s| s.iter()).collect();
-    let n = streams.len();
-    let base = dev.now();
-    let mut ready: Vec<Duration> = vec![base; n];
-    let mut pending: Vec<Option<IoRequest>> = streams.iter_mut().map(|s| s.next()).collect();
-    // Processes are synchronous: `blocked[p]` while p's IO is in flight.
-    let mut blocked = vec![false; n];
-    let queue = dev
-        .io_queue()
-        .ok_or(DeviceError::Internal("device lost its queue mid-run"))?;
-    let device_depth = queue.queue_depth();
-    if let Some(depth) = par.queue_depth {
-        queue.set_queue_depth(depth)?;
-    }
-    let mut inflight: TokenSlab<(usize, Duration, usize)> = TokenSlab::new();
-    let mut rts: Vec<Duration> = Vec::new();
-    let mut seq = 0usize;
-    let mut last_completion = base;
-    let retire_one = |inflight: &mut TokenSlab<(usize, Duration, usize)>,
-                      blocked: &mut [bool],
-                      ready: &mut [Duration],
-                      rts: &mut [Duration],
-                      token: Token,
-                      completion: Duration| {
-        let (p, submit, sq) = inflight.remove(token);
-        rts[sq] = completion - submit;
-        blocked[p] = false;
-        ready[p] = completion;
-    };
-    loop {
-        // Earliest-submitting runnable process, if any.
-        let candidate = (0..n)
-            .filter(|&p| !blocked[p] && pending[p].is_some())
-            .min_by_key(|&p| {
-                pending[p]
-                    .as_ref()
-                    .map_or(Duration::MAX, |io| ready[p] + io.submit_delay)
-            });
-        let Some(p) = candidate else {
-            match queue.poll() {
-                Some((token, completion)) => {
-                    retire_one(
-                        &mut inflight,
-                        &mut blocked,
-                        &mut ready,
-                        &mut rts,
-                        token,
-                        completion,
-                    );
-                    last_completion = last_completion.max(completion);
-                    continue;
-                }
-                None => break,
-            }
-        };
-        let submit = pending[p]
-            .as_ref()
-            .map_or(Duration::MAX, |io| ready[p] + io.submit_delay);
-        if let Some(next_done) = queue.next_completion() {
-            if next_done <= submit {
-                let (token, completion) = queue
-                    .poll()
-                    .ok_or(DeviceError::Internal("peeked completion vanished"))?;
-                retire_one(
-                    &mut inflight,
-                    &mut blocked,
-                    &mut ready,
-                    &mut rts,
-                    token,
-                    completion,
-                );
-                last_completion = last_completion.max(completion);
-                continue;
-            }
-        }
-        let io = pending[p]
-            .take()
-            .ok_or(DeviceError::Internal("candidate without an IO"))?;
-        match queue.submit(&io, submit) {
-            Ok(token) => {
-                inflight.insert(token, (p, submit, seq));
-                seq += 1;
-                rts.push(Duration::ZERO);
-                blocked[p] = true;
-                pending[p] = streams[p].next();
-            }
-            Err(DeviceError::QueueFull { .. }) => {
-                pending[p] = Some(io);
-                let (token, completion) = queue
-                    .poll()
-                    .ok_or(DeviceError::Internal("full queue with nothing to poll"))?;
-                retire_one(
-                    &mut inflight,
-                    &mut blocked,
-                    &mut ready,
-                    &mut rts,
-                    token,
-                    completion,
-                );
-                last_completion = last_completion.max(completion);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if queue.queue_depth() != device_depth {
-        queue.set_queue_depth(device_depth)?;
-    }
-    Ok(RunResult::new(par.name(), rts, 0, last_completion - base))
-}
-
-/// Host-side virtual-time interleaving over a device that serves one
-/// IO at a time (the fallback for devices without an [`IoQueue`]; also
-/// the reference semantics the queue engine must reproduce at depth 1).
-pub fn execute_parallel_serial(dev: &mut dyn BlockDevice, par: &ParallelSpec) -> Result<RunResult> {
     let mut streams: Vec<_> = par.process_specs().into_iter().map(|s| s.iter()).collect();
     // Per-process: (ready virtual time, pending IO).
     let base = dev.now();
@@ -771,72 +448,22 @@ pub fn execute_parallel_serial(dev: &mut dyn BlockDevice, par: &ParallelSpec) ->
             dev.idle(submit - device_free);
             device_free = submit;
         }
-        let service = issue(dev, &io)?;
+        let service = ctx.issue(dev, &io)?;
         let completion = device_free.max(submit) + service;
         rts.push(completion - submit);
         device_free = completion;
         ready[p] = completion;
         pending[p] = streams[p].next();
     }
+    ctx.count_timeouts(&rts);
     Ok(RunResult::new(par.name(), rts, 0, device_free - base))
-}
-
-/// Execute a parallel pattern with real OS threads, one per process,
-/// each driving its own device handle (e.g. separate `O_DIRECT` file
-/// descriptors onto the same block device). Used for real-hardware
-/// measurements where the OS does the interleaving.
-pub fn execute_parallel_threads<F>(make_dev: F, par: &ParallelSpec) -> Result<RunResult>
-where
-    F: Fn(u32) -> Result<Box<dyn BlockDevice + Send>> + Sync,
-{
-    let specs = par.process_specs();
-    let per_process: Vec<Result<(Vec<Duration>, Duration)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = specs
-            .iter()
-            .enumerate()
-            .map(|(p, spec)| {
-                let make_dev = &make_dev;
-                let spec = *spec;
-                scope.spawn(move || -> Result<(Vec<Duration>, Duration)> {
-                    let mut dev = make_dev(p as u32)?;
-                    let start = dev.now();
-                    let mut rts = Vec::with_capacity(spec.io_count as usize);
-                    for io in spec.iter() {
-                        if io.submit_delay > Duration::ZERO {
-                            dev.idle(io.submit_delay);
-                        }
-                        rts.push(issue(dev.as_mut(), &io)?);
-                    }
-                    let elapsed = dev.now() - start;
-                    Ok((rts, elapsed))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // uflip-lint: allow(UF002, UF031, reason = "join propagates a worker thread's panic; swallowing it would fake results")
-            .map(|h| h.join().expect("benchmark threads do not panic"))
-            .collect()
-    });
-    // The processes ran concurrently: the run's elapsed time is the
-    // slowest thread's wall-clock, not the sum of every response time.
-    // Response times stay grouped per process, in each process's
-    // submission order, so per-process analyses remain possible.
-    let mut all = Vec::new();
-    let mut elapsed = Duration::ZERO;
-    for run in per_process {
-        let (rts, thread_elapsed) = run?;
-        all.extend(rts);
-        elapsed = elapsed.max(thread_elapsed);
-    }
-    Ok(RunResult::new(par.name(), all, 0, elapsed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use uflip_device::MemDevice;
-    use uflip_patterns::{LbaFn, TimingFn};
+    use uflip_patterns::{LbaFn, Mode, TimingFn};
 
     const KB: u64 = 1024;
     const MB: u64 = 1024 * 1024;
@@ -926,22 +553,5 @@ mod tests {
         let par = ParallelSpec::new(base, 4);
         execute_parallel(&mut d, &par).unwrap();
         assert_eq!(d.writes(), 32, "every process IO reaches the device");
-    }
-
-    #[test]
-    fn threaded_parallel_collects_all_ios() {
-        let base = PatternSpec::baseline(LbaFn::Sequential, Mode::Write, 32 * KB, 4 * MB, 16);
-        let par = ParallelSpec::new(base, 4);
-        let run = execute_parallel_threads(
-            |_p| {
-                Ok(
-                    Box::new(MemDevice::new(64 * MB, Duration::from_micros(10), 0))
-                        as Box<dyn BlockDevice + Send>,
-                )
-            },
-            &par,
-        )
-        .unwrap();
-        assert_eq!(run.len(), 16);
     }
 }

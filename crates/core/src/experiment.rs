@@ -5,14 +5,15 @@
 //! each experiment around a single varying parameter."
 
 use crate::executor::{
-    execute_mixed, execute_mixed_with_policy, execute_parallel, execute_parallel_with_policy,
-    execute_run, execute_run_with_policy,
+    execute_mixed_with_policy, execute_parallel_with_policy, execute_run_with_policy, run_basic,
+    run_mixed, run_parallel,
 };
-use crate::policy::IoPolicy;
+use crate::policy::{IoContext, IoPolicy};
 use crate::run::RunResult;
 use crate::stats::RunStats;
 use crate::Result;
 use uflip_device::BlockDevice;
+use uflip_obs::SinkHandle;
 use uflip_patterns::{MixSpec, ParallelSpec, PatternSpec};
 
 /// A workload point: one of the paper's three pattern classes.
@@ -29,21 +30,18 @@ pub enum Workload {
 impl Workload {
     /// Execute the workload against a device.
     pub fn execute(&self, dev: &mut dyn BlockDevice) -> Result<RunResult> {
-        match self {
-            Workload::Basic(spec) => execute_run(dev, spec),
-            Workload::Mixed(mix) => execute_mixed(dev, mix).map(|(run, _)| run),
-            Workload::Parallel(par) => execute_parallel(dev, par),
-        }
+        self.execute_with_policy(dev, &IoPolicy::none(), &SinkHandle::null())
     }
 
-    /// Execute the workload under an [`IoPolicy`]: transient device
-    /// faults are retried with backoff and accounted to `sink`. With
-    /// the noop policy this is exactly [`Workload::execute`].
+    /// Execute the workload under an [`IoPolicy`], observed by `sink`,
+    /// through its class's `_with_policy` executor: transient device
+    /// faults are retried with backoff and accounted to `sink`, which
+    /// also records the run when enabled.
     pub fn execute_with_policy(
         &self,
         dev: &mut dyn BlockDevice,
         policy: &IoPolicy,
-        sink: &uflip_obs::SinkHandle,
+        sink: &SinkHandle,
     ) -> Result<RunResult> {
         match self {
             Workload::Basic(spec) => execute_run_with_policy(dev, spec, policy, sink),
@@ -54,20 +52,24 @@ impl Workload {
         }
     }
 
+    /// Run the workload's IO loop under `ctx` without the observation
+    /// bracket (the plan executor brackets its runs itself).
+    pub(crate) fn run(&self, dev: &mut dyn BlockDevice, ctx: &mut IoContext) -> Result<RunResult> {
+        match self {
+            Workload::Basic(spec) => run_basic(dev, spec, ctx),
+            Workload::Mixed(mix) => run_mixed(dev, mix, ctx).map(|(run, _)| run),
+            Workload::Parallel(par) => run_parallel(dev, par, ctx),
+        }
+    }
+
     /// The latency population this workload's response times belong
     /// to: read or write for single-mode patterns (parallel runs take
     /// their base pattern's mode), mixed for read/write mixes.
     pub fn latency_class(&self) -> uflip_obs::LatencyClass {
-        use uflip_obs::LatencyClass;
-        use uflip_patterns::Mode;
-        let by_mode = |mode: Mode| match mode {
-            Mode::Read => LatencyClass::Read,
-            Mode::Write => LatencyClass::Write,
-        };
         match self {
-            Workload::Basic(spec) => by_mode(spec.mode),
-            Workload::Mixed(_) => LatencyClass::Mixed,
-            Workload::Parallel(par) => by_mode(par.base.mode),
+            Workload::Basic(spec) => crate::observe::class_of(spec.mode),
+            Workload::Mixed(_) => uflip_obs::LatencyClass::Mixed,
+            Workload::Parallel(par) => crate::observe::class_of(par.base.mode),
         }
     }
 

@@ -9,8 +9,9 @@
 //!
 //! * [`executor`] — runs a pattern against a [`uflip_device::BlockDevice`]
 //!   and records the response time of every IO (design principle 1);
-//!   includes the virtual-time interleaver for parallel patterns and a
-//!   thread-based executor for real devices.
+//!   one IO loop per pattern class, under an [`IoPolicy`] and an obs
+//!   sink passed in as values, with an event calendar (or a host-side
+//!   interleaver) for parallel patterns.
 //! * [`run`] / [`stats`] — runs, experiments and their statistics
 //!   (min / max / mean / standard deviation, computed over the IOs after
 //!   the `IOIgnore` warm-up prefix).
@@ -54,13 +55,12 @@ pub use calibrate::{
     CalibrationMeasurement, CalibrationOutcome,
 };
 pub use executor::{
-    execute_mixed, execute_mixed_observed, execute_mixed_with_policy, execute_parallel,
-    execute_parallel_observed, execute_parallel_with_policy, execute_run, execute_run_observed,
-    execute_run_with_policy,
+    execute_mixed, execute_mixed_with_policy, execute_parallel, execute_parallel_with_policy,
+    execute_run, execute_run_with_policy,
 };
 pub use experiment::{Experiment, ExperimentResult, Workload};
 pub use policy::{ExhaustionAction, IoPolicy};
-pub use replay::{replay_trace, replay_trace_observed, replay_trace_with_policy, ReplayMode};
+pub use replay::{replay_trace, replay_trace_with_policy, ReplayMode};
 pub use run::RunResult;
 pub use stats::{RunStats, StreamingStats};
 pub use suite::{

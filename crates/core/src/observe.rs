@@ -1,25 +1,59 @@
-//! Shared plumbing for the observed (`*_observed`) executor entry
-//! points.
+//! The observation bracket around a run.
 //!
-//! Every executor in this crate has an observed variant that takes a
-//! [`uflip_obs::SinkHandle`]: it attaches the sink to the device (so
-//! NAND, FTL, queue and host-IO counters flow from the layers below)
-//! and, after each run, records the run's response times into the
-//! sink's latency histograms and emits a per-workload counter delta
-//! ([`uflip_obs::WorkloadMetrics`] — host IO, bytes programmed/erased,
-//! write amplification).
+//! Every `_with_policy` entry point takes a [`uflip_obs::SinkHandle`]
+//! as a value and brackets its run (the plan executor attaches the
+//! sink once per plan and brackets each run). An enabled sink is
+//! attached to the device, so NAND, FTL, queue and host-IO counters
+//! flow from the layers below, and its counters are read before the
+//! run. After the run, its response times go into the sink's latency
+//! histograms and the counter movement is emitted as one
+//! [`uflip_obs::WorkloadMetrics`] record (host IO, bytes
+//! programmed/erased, write amplification).
 //!
-//! The plain entry points delegate to the observed ones with
-//! [`SinkHandle::null`], so the unobserved path stays the default and
-//! pays nothing: one `is_enabled()` test per run, zero per IO (the
-//! per-IO guards live in the instrumented layers and are cached
-//! `bool`s). Response times recorded here are exactly the ones the
-//! run's [`crate::RunStats`] summarizes — the running phase, after the
-//! `io_ignore` warm-up prefix — so histogram quantiles and exact
-//! percentiles describe the same population.
+//! A null sink skips the bracket: it is never attached, so it cannot
+//! detach a sink the caller attached to the device, and a run pays one
+//! `is_enabled()` test for it — zero per IO (the per-IO guards live in
+//! the instrumented layers and are cached `bool`s). Response times
+//! recorded here are exactly the ones the run's [`crate::RunStats`]
+//! summarizes — the running phase, after the `io_ignore` warm-up
+//! prefix — so histogram quantiles and exact percentiles describe the
+//! same population.
 
 use crate::run::RunResult;
+use uflip_device::BlockDevice;
 use uflip_obs::{CounterSnapshot, LatencyClass, SinkHandle, WorkloadMetrics};
+use uflip_patterns::Mode;
+
+/// Open the bracket: attach an enabled `sink` to `dev` and return its
+/// counter totals; a null sink leaves the device alone (`None`).
+pub(crate) fn attach(dev: &mut dyn BlockDevice, sink: &SinkHandle) -> Option<CounterSnapshot> {
+    sink.is_enabled().then(|| {
+        dev.set_sink(sink.clone());
+        counters_now(sink)
+    })
+}
+
+/// Close the bracket [`attach`] opened: record `run`'s running-phase
+/// response times under `class` and emit its counter delta.
+pub(crate) fn record(
+    sink: &SinkHandle,
+    class: LatencyClass,
+    run: &RunResult,
+    before: Option<CounterSnapshot>,
+) {
+    if let Some(before) = before {
+        record_run_latencies(sink, class, run);
+        emit_workload_delta(sink, &run.label, &before);
+    }
+}
+
+/// The latency population of a single-mode IO stream.
+pub(crate) fn class_of(mode: Mode) -> LatencyClass {
+    match mode {
+        Mode::Read => LatencyClass::Read,
+        Mode::Write => LatencyClass::Write,
+    }
+}
 
 /// Read the sink's current counter totals.
 pub(crate) fn counters_now(sink: &SinkHandle) -> CounterSnapshot {

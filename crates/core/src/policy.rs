@@ -27,9 +27,15 @@
 //! ([`uflip_device::DeviceError::QueueFull`]) is never consumed by the
 //! policy — the event loops handle it as flow control.
 //!
-//! The noop policy ([`IoPolicy::none`]) is the default everywhere and
-//! leaves every executor on its historical code path, bit-identical to
-//! earlier releases.
+//! Every IO loop runs under a policy and an obs sink, passed in as
+//! values (one `IoContext` per run). The loop calls the device
+//! directly; only a failed call reaches the policy, through a `#[cold]`
+//! retry continuation that resumes at attempt 1. Timeouts are judged
+//! once the run is done, over its recorded response times. The noop
+//! policy ([`IoPolicy::none`], the default everywhere) is a plain
+//! value, not a separate path: its continuation hands every error
+//! straight back and it has no timeout, so a run under it does exactly
+//! what a loop without a policy would.
 
 use crate::Result;
 use std::time::Duration;
@@ -86,19 +92,14 @@ impl Default for IoPolicy {
 }
 
 impl IoPolicy {
-    /// The noop policy: no retries, no timeout. Executors given it
-    /// take their historical code paths unchanged.
+    /// The noop policy: no retries, no timeout. A run under it reports
+    /// every device error as it comes.
     pub fn none() -> Self {
         IoPolicy {
             max_retries: 0,
             timeout: None,
             ..IoPolicy::default()
         }
-    }
-
-    /// Whether this policy changes nothing (see [`IoPolicy::none`]).
-    pub fn is_noop(&self) -> bool {
-        self.max_retries == 0 && self.timeout.is_none()
     }
 
     /// Backoff before retry number `attempt` (1-based): base times
@@ -168,71 +169,16 @@ impl IoPolicy {
     }
 }
 
-/// Observe a completed IO's response time against the policy's timeout.
-pub(crate) fn observe_timeout(policy: &IoPolicy, rt: Duration, sink: &SinkHandle, enabled: bool) {
-    if enabled {
-        if let Some(t) = policy.timeout {
-            if rt > t {
-                sink.add(CounterId::IoTimeouts, 1);
-            }
-        }
-    }
+/// What one run's IO loop executes under: the policy, its jitter
+/// stream (seeded per run, so equal policies give equal backoff
+/// sequences) and the sink retries and timeouts are counted in.
+pub(crate) struct IoContext<'a> {
+    policy: &'a IoPolicy,
+    sink: &'a SinkHandle,
+    rng: u64,
 }
 
-/// Issue one synchronous IO under a policy: retry transient failures
-/// with backoff (spent as device idle time), record retried successes
-/// under [`LatencyClass::Retry`], observe the timeout, and apply the
-/// exhaustion action. Returns the IO's response time — for a degraded
-/// IO, the backoff it accumulated before being given up on.
-pub(crate) fn issue_with_policy(
-    dev: &mut dyn BlockDevice,
-    io: &IoRequest,
-    policy: &IoPolicy,
-    rng: &mut u64,
-    sink: &SinkHandle,
-    enabled: bool,
-) -> Result<Duration> {
-    let mut attempt = 0u32;
-    let mut waited = Duration::ZERO;
-    loop {
-        let res = match io.mode {
-            Mode::Read => dev.read(io.offset, io.size),
-            Mode::Write => dev.write(io.offset, io.size),
-        };
-        match res {
-            Ok(rt) => {
-                let total = waited + rt;
-                observe_timeout(policy, total, sink, enabled);
-                if attempt > 0 && enabled {
-                    sink.latency(LatencyClass::Retry, total.as_nanos() as u64);
-                }
-                return Ok(total);
-            }
-            Err(e) if e.is_transient() && attempt < policy.max_retries => {
-                attempt += 1;
-                if enabled {
-                    sink.add(CounterId::IoRetries, 1);
-                }
-                let backoff = policy.backoff(attempt, rng);
-                dev.idle(backoff);
-                waited += backoff;
-            }
-            Err(e) => {
-                if e.is_transient() && policy.max_retries > 0 {
-                    if enabled {
-                        sink.add(CounterId::RetryExhaustions, 1);
-                    }
-                    if policy.on_exhaustion == ExhaustionAction::Degrade {
-                        return Ok(waited);
-                    }
-                }
-                return Err(e);
-            }
-        }
-    }
-}
-
-/// Outcome of a policy-mediated queued submission.
+/// Outcome of a queued submission.
 pub(crate) enum SubmitOutcome {
     /// The IO is in flight under this token; its effective submission
     /// instant is the intended one plus any retry backoff (response
@@ -248,46 +194,154 @@ pub(crate) enum SubmitOutcome {
     Degraded(Duration),
 }
 
-/// Submit one queued IO under a policy: transient submit-time
-/// rejections (injected faults) retry with backoff applied to the
-/// submission instant; queue-full rejections pass through untouched.
-pub(crate) fn submit_with_policy(
-    queue: &mut dyn IoQueue,
-    io: &IoRequest,
-    at: Duration,
-    policy: &IoPolicy,
-    rng: &mut u64,
-    sink: &SinkHandle,
-    enabled: bool,
-) -> Result<SubmitOutcome> {
-    let mut attempt = 0u32;
-    let mut waited = Duration::ZERO;
-    loop {
-        match queue.submit(io, at + waited) {
-            Ok(token) => {
-                if attempt > 0 && enabled {
-                    sink.latency(LatencyClass::Retry, waited.as_nanos() as u64);
-                }
-                return Ok(SubmitOutcome::Submitted(token));
+/// One synchronous device call.
+fn issue(dev: &mut dyn BlockDevice, io: &IoRequest) -> Result<Duration> {
+    match io.mode {
+        Mode::Read => dev.read(io.offset, io.size),
+        Mode::Write => dev.write(io.offset, io.size),
+    }
+}
+
+impl<'a> IoContext<'a> {
+    /// The context of one run under `policy`, counting into `sink`.
+    pub(crate) fn new(policy: &'a IoPolicy, sink: &'a SinkHandle) -> Self {
+        IoContext {
+            policy,
+            sink,
+            rng: policy.jitter_seed,
+        }
+    }
+
+    /// Issue one synchronous IO and return its response time — for a
+    /// retried IO the backoff included, for a degraded one the backoff
+    /// alone. Only a failed call reaches the policy.
+    #[inline]
+    pub(crate) fn issue(&mut self, dev: &mut dyn BlockDevice, io: &IoRequest) -> Result<Duration> {
+        match issue(dev, io) {
+            Ok(rt) => Ok(rt),
+            Err(e) => self.retry_issue(dev, io, e),
+        }
+    }
+
+    /// Submit one queued IO at `at`. A full queue comes back as
+    /// [`SubmitOutcome::Full`] for the caller's flow control; only
+    /// another failure reaches the policy.
+    #[inline]
+    pub(crate) fn submit(
+        &mut self,
+        queue: &mut dyn IoQueue,
+        io: &IoRequest,
+        at: Duration,
+    ) -> Result<SubmitOutcome> {
+        match queue.submit(io, at) {
+            Ok(token) => Ok(SubmitOutcome::Submitted(token)),
+            Err(DeviceError::QueueFull { .. }) => Ok(SubmitOutcome::Full),
+            Err(e) => self.retry_submit(queue, io, at, e),
+        }
+    }
+
+    /// The retry continuation of [`IoContext::issue`], entered with
+    /// the first attempt's error: back off (as device idle time) and
+    /// reissue from attempt 1 while the error is transient and the
+    /// budget lasts. A retried success is recorded under
+    /// [`LatencyClass::Retry`].
+    #[cold]
+    #[inline(never)]
+    fn retry_issue(
+        &mut self,
+        dev: &mut dyn BlockDevice,
+        io: &IoRequest,
+        mut err: DeviceError,
+    ) -> Result<Duration> {
+        let enabled = self.sink.is_enabled();
+        let mut waited = Duration::ZERO;
+        for attempt in 1..=self.policy.max_retries {
+            if !err.is_transient() {
+                return Err(err);
             }
-            Err(DeviceError::QueueFull { .. }) => return Ok(SubmitOutcome::Full),
-            Err(e) if e.is_transient() && attempt < policy.max_retries => {
-                attempt += 1;
-                if enabled {
-                    sink.add(CounterId::IoRetries, 1);
-                }
-                waited += policy.backoff(attempt, rng);
+            if enabled {
+                self.sink.add(CounterId::IoRetries, 1);
             }
-            Err(e) => {
-                if e.is_transient() && policy.max_retries > 0 {
+            let backoff = self.policy.backoff(attempt, &mut self.rng);
+            dev.idle(backoff);
+            waited += backoff;
+            match issue(dev, io) {
+                Ok(rt) => {
+                    let total = waited + rt;
                     if enabled {
-                        sink.add(CounterId::RetryExhaustions, 1);
+                        self.sink
+                            .latency(LatencyClass::Retry, total.as_nanos() as u64);
                     }
-                    if policy.on_exhaustion == ExhaustionAction::Degrade {
-                        return Ok(SubmitOutcome::Degraded(waited));
-                    }
+                    return Ok(total);
                 }
-                return Err(e);
+                Err(e) => err = e,
+            }
+        }
+        self.exhausted(err).map(|()| waited)
+    }
+
+    /// The retry continuation of [`IoContext::submit`]: transient
+    /// submit-time rejections (injected faults) retry from attempt 1
+    /// with the backoff added to the submission instant; a full queue
+    /// met on the way passes through as [`SubmitOutcome::Full`].
+    #[cold]
+    #[inline(never)]
+    fn retry_submit(
+        &mut self,
+        queue: &mut dyn IoQueue,
+        io: &IoRequest,
+        at: Duration,
+        mut err: DeviceError,
+    ) -> Result<SubmitOutcome> {
+        let enabled = self.sink.is_enabled();
+        let mut waited = Duration::ZERO;
+        for attempt in 1..=self.policy.max_retries {
+            if !err.is_transient() {
+                return Err(err);
+            }
+            if enabled {
+                self.sink.add(CounterId::IoRetries, 1);
+            }
+            waited += self.policy.backoff(attempt, &mut self.rng);
+            match queue.submit(io, at + waited) {
+                Ok(token) => {
+                    if enabled {
+                        self.sink
+                            .latency(LatencyClass::Retry, waited.as_nanos() as u64);
+                    }
+                    return Ok(SubmitOutcome::Submitted(token));
+                }
+                Err(DeviceError::QueueFull { .. }) => return Ok(SubmitOutcome::Full),
+                Err(e) => err = e,
+            }
+        }
+        self.exhausted(err)
+            .map(|()| SubmitOutcome::Degraded(waited))
+    }
+
+    /// The last failure of an IO: a transient one past a nonzero
+    /// budget counts as an exhaustion and, under a degrading policy,
+    /// lets the run go on without the IO (`Ok`); anything else aborts.
+    fn exhausted(&self, err: DeviceError) -> Result<()> {
+        if err.is_transient() && self.policy.max_retries > 0 {
+            if self.sink.is_enabled() {
+                self.sink.add(CounterId::RetryExhaustions, 1);
+            }
+            if self.policy.on_exhaustion == ExhaustionAction::Degrade {
+                return Ok(());
+            }
+        }
+        Err(err)
+    }
+
+    /// Count the run's recorded response times above the policy's
+    /// timeout — once the run is done, since a queued IO's response
+    /// time is only known at its completion.
+    pub(crate) fn count_timeouts(&self, rts: &[Duration]) {
+        if let Some(limit) = self.policy.timeout {
+            let slow = rts.iter().filter(|&&rt| rt > limit).count() as u64;
+            if slow > 0 && self.sink.is_enabled() {
+                self.sink.add(CounterId::IoTimeouts, slow);
             }
         }
     }
@@ -296,18 +350,6 @@ pub(crate) fn submit_with_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noop_detection() {
-        assert!(IoPolicy::none().is_noop());
-        assert!(!IoPolicy::default().is_noop());
-        let timeout_only = IoPolicy {
-            max_retries: 0,
-            timeout: Some(Duration::from_millis(1)),
-            ..IoPolicy::default()
-        };
-        assert!(!timeout_only.is_noop());
-    }
 
     #[test]
     fn backoff_grows_and_caps() {
@@ -345,7 +387,7 @@ mod tests {
 
     #[test]
     fn parse_accepts_the_flag_grammar() {
-        assert!(IoPolicy::parse("none").unwrap().is_noop());
+        assert_eq!(IoPolicy::parse("none").unwrap(), IoPolicy::none());
         assert_eq!(IoPolicy::parse("default").unwrap(), IoPolicy::default());
         let p = IoPolicy::parse("retries=7,base-us=50,cap-ms=2,timeout-ms=100,degrade").unwrap();
         assert_eq!(p.max_retries, 7);

@@ -16,11 +16,19 @@
 //!   paper's question (Hint 7) asked of a *real* request stream instead
 //!   of a synthetic pattern.
 //!
-//! Both modes go through the device's [`IoQueue`] when it has one
-//! (depth 1 reproduces the synchronous path bit-for-bit — see PR 1's
-//! queue-engine guarantees) and fall back to synchronous issue
-//! otherwise, so every backend — mem, sim, direct — can serve a
-//! replay. Real devices serve it through their wall-clock
+//! Two loops serve both modes: a queued one through the device's
+//! [`IoQueue`] when it has one (depth 1 reproduces the synchronous path
+//! bit-for-bit, as `tests/queue_engine.rs` checks) and a serial one
+//! over synchronous issue otherwise, so every backend — mem, sim,
+//! direct — can serve a replay. Like the pattern executors, each loop
+//! runs under an [`IoPolicy`] and a [`uflip_obs::SinkHandle`] taken as
+//! values ([`replay_trace`] passes the noop policy and the null sink),
+//! and calls the device directly: only a failed call reaches the
+//! policy. The queued loop submits one record at a time, so an
+//! open-loop replay of N records at depth D meets a full queue N − D
+//! times, each counted as a queue-full rejection by an enabled sink.
+//!
+//! Real devices serve a replay through their wall-clock
 //! [`uflip_device::ThreadedIoQueue`]: there `submit(at)` means
 //! "start no earlier than `at`" (faithful mode's recorded gaps become
 //! actual waiting), `next_completion` only reports completions that
@@ -33,13 +41,14 @@
 //! submission*: queueing delay behind a backlogged device counts, just
 //! as a host thread would measure it.
 
-use crate::policy::{self, IoPolicy, SubmitOutcome};
+use crate::observe;
+use crate::policy::{IoContext, IoPolicy, SubmitOutcome};
 use crate::run::RunResult;
 use crate::slab::TokenSlab;
 use crate::Result;
 use std::time::Duration;
-use uflip_device::{BlockDevice, DeviceError, Token};
-use uflip_patterns::{IoRequest, Mode};
+use uflip_device::{BlockDevice, DeviceError, IoQueue, Token};
+use uflip_obs::SinkHandle;
 use uflip_trace::Trace;
 
 /// How to schedule a trace's submissions (see the module docs).
@@ -76,78 +85,27 @@ pub fn replay_trace(
     trace: &Trace,
     mode: ReplayMode,
 ) -> Result<RunResult> {
-    let label = format!("replay({},{})", trace.label, mode.code());
-    if trace.is_empty() {
-        return Ok(RunResult::new(label, Vec::new(), 0, Duration::ZERO));
-    }
-    assert!(
-        trace.is_time_ordered(),
-        "replay requires submit-ordered records; call Trace::sort_by_submit first"
-    );
-    let queued = dev.io_queue().is_some();
-    match (mode, queued) {
-        (ReplayMode::TimingFaithful, true) => {
-            let depth = trace.max_queue_depth().max(1);
-            replay_queued(dev, trace, label, depth, true)
-        }
-        (ReplayMode::TimingFaithful, false) => replay_faithful_serial(dev, trace, label),
-        (ReplayMode::OpenLoop { queue_depth }, true) => {
-            replay_queued(dev, trace, label, queue_depth.max(1), false)
-        }
-        (ReplayMode::OpenLoop { .. }, false) => replay_open_serial(dev, trace, label),
-    }
+    replay_trace_with_policy(dev, trace, mode, &IoPolicy::none(), &SinkHandle::null())
 }
 
-/// Observed [`replay_trace`]: attach `sink` to the device, replay the
-/// trace, then record each IO's response time under the latency class
-/// of its *recorded op* (reads and writes land in separate
-/// histograms, unlike the single-class pattern executors) and emit
-/// the replay's counter delta as a [`uflip_obs::WorkloadMetrics`]
-/// record. With a null sink this is exactly [`replay_trace`].
-pub fn replay_trace_observed(
-    dev: &mut dyn BlockDevice,
-    trace: &Trace,
-    mode: ReplayMode,
-    sink: &uflip_obs::SinkHandle,
-) -> Result<RunResult> {
-    dev.set_sink(sink.clone());
-    if !sink.is_enabled() {
-        return replay_trace(dev, trace, mode);
-    }
-    let before = crate::observe::counters_now(sink);
-    let run = replay_trace(dev, trace, mode)?;
-    for (rec, rt) in trace.records.iter().zip(&run.rts) {
-        let class = match rec.op {
-            Mode::Read => uflip_obs::LatencyClass::Read,
-            Mode::Write => uflip_obs::LatencyClass::Write,
-        };
-        sink.latency(class, rt.as_nanos() as u64);
-    }
-    crate::observe::emit_workload_delta(sink, &run.label, &before);
-    Ok(run)
-}
-
-/// Observed [`replay_trace`] under an [`IoPolicy`]: transient faults
-/// met during submission are retried with backoff, timeouts and
-/// exhaustions are counted, and a degrading policy lets the replay
-/// survive unservable IOs. With the noop policy this is exactly
-/// [`replay_trace_observed`].
+/// [`replay_trace`] under an [`IoPolicy`], observed by `sink`:
+/// transient faults met during an IO are retried with backoff,
+/// timeouts and exhaustions are counted, and a degrading policy lets
+/// the replay survive unservable IOs. An enabled sink is attached to
+/// the device, records each IO's response time under the latency class
+/// of its *recorded op* (reads and writes land in separate histograms,
+/// unlike the single-class pattern executors), and receives the
+/// replay's counter delta as a [`uflip_obs::WorkloadMetrics`] record.
 ///
-/// The policy-aware queued path submits per IO (no
-/// [`uflip_device::IoQueue::submit_batch`] fast path): each submission
-/// is a fault-injection point and needs individual retry handling.
+/// The queued loop submits one record at a time: each submission is a
+/// fault-injection point and needs its own retry handling.
 pub fn replay_trace_with_policy(
     dev: &mut dyn BlockDevice,
     trace: &Trace,
     mode: ReplayMode,
     io_policy: &IoPolicy,
-    sink: &uflip_obs::SinkHandle,
+    sink: &SinkHandle,
 ) -> Result<RunResult> {
-    if io_policy.is_noop() {
-        return replay_trace_observed(dev, trace, mode, sink);
-    }
-    dev.set_sink(sink.clone());
-    let enabled = sink.is_enabled();
     let label = format!("replay({},{})", trace.label, mode.code());
     if trace.is_empty() {
         return Ok(RunResult::new(label, Vec::new(), 0, Duration::ZERO));
@@ -156,190 +114,48 @@ pub fn replay_trace_with_policy(
         trace.is_time_ordered(),
         "replay requires submit-ordered records; call Trace::sort_by_submit first"
     );
-    let before = enabled.then(|| crate::observe::counters_now(sink));
-    let queued = dev.io_queue().is_some();
-    let run = match (mode, queued) {
-        (ReplayMode::TimingFaithful, true) => {
-            let depth = trace.max_queue_depth().max(1);
-            replay_queued_with_policy(dev, trace, label, depth, true, io_policy, sink, enabled)
-        }
-        (ReplayMode::OpenLoop { queue_depth }, true) => replay_queued_with_policy(
-            dev,
-            trace,
-            label,
-            queue_depth.max(1),
-            false,
-            io_policy,
-            sink,
-            enabled,
-        ),
-        (_, false) => replay_serial_with_policy(dev, trace, label, mode, io_policy, sink, enabled),
+    let before = observe::attach(dev, sink);
+    let mut ctx = IoContext::new(io_policy, sink);
+    let faithful = mode == ReplayMode::TimingFaithful;
+    let run = if dev.io_queue().is_some() {
+        let depth = match mode {
+            ReplayMode::TimingFaithful => trace.max_queue_depth(),
+            ReplayMode::OpenLoop { queue_depth } => queue_depth,
+        };
+        replay_queued(dev, trace, label, depth.max(1), faithful, &mut ctx)
+    } else {
+        replay_serial(dev, trace, label, faithful, &mut ctx)
     }?;
-    if enabled {
+    if let Some(before) = before {
         for (rec, rt) in trace.records.iter().zip(&run.rts) {
-            let class = match rec.op {
-                Mode::Read => uflip_obs::LatencyClass::Read,
-                Mode::Write => uflip_obs::LatencyClass::Write,
-            };
-            sink.latency(class, rt.as_nanos() as u64);
+            sink.latency(observe::class_of(rec.op), rt.as_nanos() as u64);
         }
-        if let Some(before) = &before {
-            crate::observe::emit_workload_delta(sink, &run.label, before);
-        }
+        observe::emit_workload_delta(sink, &run.label, &before);
     }
     Ok(run)
 }
 
-/// The policy-aware twin of [`replay_queued`]: one per-record loop
-/// serves both modes (faithful targets the recorded schedule,
-/// open-loop targets the running cursor), with submissions mediated by
-/// [`policy::submit_with_policy`].
-#[allow(clippy::too_many_arguments)]
-fn replay_queued_with_policy(
-    dev: &mut dyn BlockDevice,
-    trace: &Trace,
-    label: String,
-    depth: u32,
-    faithful: bool,
-    io_policy: &IoPolicy,
-    sink: &uflip_obs::SinkHandle,
-    enabled: bool,
-) -> Result<RunResult> {
-    let mut rng = io_policy.jitter_seed;
-    let base = dev.now();
-    let queue = dev
-        .io_queue()
-        .ok_or(DeviceError::Internal("device lost its queue mid-replay"))?;
-    let device_depth = queue.queue_depth();
-    queue.set_queue_depth(depth)?;
-    let t0 = trace.records[0].submit_ns;
-    let n = trace.records.len();
-    let mut rts = vec![Duration::ZERO; n];
-    let mut inflight: TokenSlab<(usize, Duration)> = TokenSlab::new();
-    let mut retired: Vec<(Token, Duration)> = Vec::with_capacity(depth as usize + 1);
-    let mut last_completion = base;
-    let mut cursor = base;
-    macro_rules! bail {
-        ($queue:ident, $e:expr) => {{
-            while $queue.poll().is_some() {}
-            if $queue.queue_depth() != device_depth {
-                // uflip-lint: allow(UF030, reason = "error path: the primary error outranks a failed depth restore")
-                let _ = $queue.set_queue_depth(device_depth);
-            }
-            return Err($e);
-        }};
-    }
-    for (i, rec) in trace.records.iter().enumerate() {
-        let target = if faithful {
-            base + Duration::from_nanos(rec.submit_ns - t0)
-        } else {
-            cursor
-        };
-        if faithful {
-            queue.poll_upto(target, &mut retired);
-            for &(token, completion) in &retired {
-                book(&mut inflight, &mut rts, token, completion);
-                last_completion = last_completion.max(completion);
-            }
-            retired.clear();
-        }
-        let io = rec.io_request(i as u64);
-        let mut at = target.max(cursor);
-        loop {
-            match policy::submit_with_policy(queue, &io, at, io_policy, &mut rng, sink, enabled) {
-                Ok(SubmitOutcome::Submitted(token)) => {
-                    inflight.insert(token, (i, target));
-                    cursor = at;
-                    break;
-                }
-                Ok(SubmitOutcome::Full) => {
-                    let (token, completion) = queue
-                        .poll()
-                        .ok_or(DeviceError::Internal("full queue with nothing to poll"))?;
-                    book(&mut inflight, &mut rts, token, completion);
-                    last_completion = last_completion.max(completion);
-                    at = at.max(completion);
-                }
-                Ok(SubmitOutcome::Degraded(waited)) => {
-                    // The IO never reached the device; its response
-                    // time is the backoff spent on it.
-                    rts[i] = waited;
-                    cursor = at;
-                    last_completion = last_completion.max(at + waited);
-                    break;
-                }
-                Err(e) => bail!(queue, e),
-            }
-        }
-    }
-    while let Some((token, completion)) = queue.poll() {
-        book(&mut inflight, &mut rts, token, completion);
-        last_completion = last_completion.max(completion);
-    }
-    if io_policy.timeout.is_some() {
-        for &rt in &rts {
-            policy::observe_timeout(io_policy, rt, sink, enabled);
-        }
-    }
-    if queue.queue_depth() != device_depth {
-        queue.set_queue_depth(device_depth)?;
-    }
-    Ok(RunResult::new(label, rts, 0, last_completion - base))
-}
-
-/// The policy-aware serial fallback, both modes.
-fn replay_serial_with_policy(
-    dev: &mut dyn BlockDevice,
-    trace: &Trace,
-    label: String,
-    mode: ReplayMode,
-    io_policy: &IoPolicy,
-    sink: &uflip_obs::SinkHandle,
-    enabled: bool,
-) -> Result<RunResult> {
-    let mut rng = io_policy.jitter_seed;
-    let base = dev.now();
-    let t0 = trace.records[0].submit_ns;
-    let faithful = mode == ReplayMode::TimingFaithful;
-    let mut rts = Vec::with_capacity(trace.len());
-    for (i, rec) in trace.records.iter().enumerate() {
-        let io = rec.io_request(i as u64);
-        if faithful {
-            let target = base + Duration::from_nanos(rec.submit_ns - t0);
-            let now = dev.now();
-            if now < target {
-                dev.idle(target - now);
-            }
-            policy::issue_with_policy(dev, &io, io_policy, &mut rng, sink, enabled)?;
-            rts.push(dev.now() - target);
-        } else {
-            rts.push(policy::issue_with_policy(
-                dev, &io, io_policy, &mut rng, sink, enabled,
-            )?);
-        }
-    }
-    Ok(RunResult::new(label, rts, 0, dev.now() - base))
-}
-
-/// Queued replay: one event loop serves both modes. In faithful mode
-/// each IO targets its recorded offset from the start of the replay;
-/// in open-loop mode it targets the earliest instant admission
-/// permits. Submissions stay non-decreasing in virtual time — the
-/// queue contract — because record order, completion times and the
-/// running cursor are all monotone.
+/// Queued replay: one per-record event loop serves both modes. In
+/// faithful mode each IO targets its recorded offset from the start of
+/// the replay; in open-loop mode it targets the running cursor, the
+/// earliest instant admission permits. Submissions stay non-decreasing
+/// in virtual time — the queue contract — because record order,
+/// completion times and the cursor are all monotone. Per-IO state
+/// lives in a [`TokenSlab`] (O(1) retire; the linear in-flight scan it
+/// replaced made deep queues quadratic).
 ///
-/// Open-loop replay is the engine's fast path: every record in a wave
-/// shares the same submission instant (the cursor), so waves go down
-/// through [`IoQueue::submit_batch`] — one virtual dispatch per wave —
-/// and completions come back through [`IoQueue::poll_upto`] and the
-/// final drain. Per-IO state lives in a [`TokenSlab`] (O(1) retire;
-/// the linear in-flight scan it replaced made deep queues quadratic).
+/// Every record is submitted before the loop checks for room: a full
+/// queue answers with a rejection, and the loop retires one completion
+/// and submits again. Decorators that act per submission (a
+/// [`uflip_device::FaultyDevice`] draws a fault decision on each) thus
+/// see the same call sequence whatever the policy.
 fn replay_queued(
     dev: &mut dyn BlockDevice,
     trace: &Trace,
     label: String,
     depth: u32,
     faithful: bool,
+    ctx: &mut IoContext,
 ) -> Result<RunResult> {
     let base = dev.now();
     let queue = dev
@@ -357,23 +173,13 @@ fn replay_queued(
     // Earliest time the next submission may carry (keeps `at`
     // monotone once back-pressure pushes past the recorded schedule).
     let mut cursor = base;
-    // Leave the device usable on error: drain what is in flight and
-    // restore its own depth before reporting the bad record (e.g. a
-    // trace captured on a larger device replayed past this one's
-    // capacity).
-    macro_rules! bail {
-        ($queue:ident, $e:expr) => {{
-            while $queue.poll().is_some() {}
-            if $queue.queue_depth() != device_depth {
-                // uflip-lint: allow(UF030, reason = "error path: the primary error outranks a failed depth restore")
-                let _ = $queue.set_queue_depth(device_depth);
-            }
-            return Err($e);
-        }};
-    }
-    if faithful {
-        for (i, rec) in trace.records.iter().enumerate() {
-            let target = base + Duration::from_nanos(rec.submit_ns - t0);
+    for (i, rec) in trace.records.iter().enumerate() {
+        let target = if faithful {
+            base + Duration::from_nanos(rec.submit_ns - t0)
+        } else {
+            cursor
+        };
+        if faithful {
             // Retire completions that precede this submission; they
             // also keep idle-gap accounting exact.
             queue.poll_upto(target, &mut retired);
@@ -382,86 +188,59 @@ fn replay_queued(
                 last_completion = last_completion.max(completion);
             }
             retired.clear();
-            let io = rec.io_request(i as u64);
-            let mut at = target.max(cursor);
-            loop {
-                match queue.submit(&io, at) {
-                    Ok(token) => {
-                        inflight.insert(token, (i, target));
-                        cursor = at;
-                        break;
-                    }
-                    Err(DeviceError::QueueFull { .. }) => {
-                        let (token, completion) = queue
-                            .poll()
-                            .ok_or(DeviceError::Internal("full queue with nothing to poll"))?;
-                        book(&mut inflight, &mut rts, token, completion);
-                        last_completion = last_completion.max(completion);
-                        at = at.max(completion);
-                    }
-                    Err(e) => bail!(queue, e),
-                }
-            }
         }
-    } else {
-        // Open loop: waves of records submitted back-to-back at the
-        // cursor. Deferring retires to the back-pressure point changes
-        // nothing observable — retiring has no device side effects, a
-        // submission at the cursor never opens an idle gap (scheduled
-        // completions always run past it), and response times index a
-        // slab, not an ordering.
-        const WAVE: usize = 64;
-        let mut ios: Vec<IoRequest> = Vec::with_capacity(WAVE.min(n));
-        let mut tokens: Vec<Token> = Vec::with_capacity(WAVE.min(n));
-        let mut i = 0usize;
-        while i < n {
-            let end = (i + WAVE).min(n);
-            ios.clear();
-            for (k, rec) in trace.records[i..end].iter().enumerate() {
-                ios.push(rec.io_request((i + k) as u64));
-            }
-            let mut off = 0usize;
-            // A record's *intended* submission is the cursor when its
-            // turn begins — before any back-pressure poll taken on its
-            // behalf bumps the cursor. Only the first record of a
-            // post-poll batch can differ (its turn began earlier).
-            let mut turn_start = cursor;
-            while off < ios.len() {
-                tokens.clear();
-                let accepted = match queue.submit_batch(&ios[off..], cursor, &mut tokens) {
-                    Ok(a) => a,
-                    Err(e) => bail!(queue, e),
-                };
-                for (k, &token) in tokens.iter().enumerate() {
-                    let intended = if k == 0 { turn_start } else { cursor };
-                    inflight.insert(token, (i + off + k, intended));
+        let io = rec.io_request(i as u64);
+        let mut at = target.max(cursor);
+        loop {
+            match ctx.submit(queue, &io, at) {
+                Ok(SubmitOutcome::Submitted(token)) => {
+                    inflight.insert(token, (i, target));
+                    cursor = at;
+                    break;
                 }
-                off += accepted;
-                if accepted > 0 {
-                    turn_start = cursor;
-                }
-                if off < ios.len() {
-                    // Back-pressure: retire one completion; the cursor
-                    // may not precede it.
+                Ok(SubmitOutcome::Full) => {
+                    // Back-pressure: retire one completion; the
+                    // submission may not precede it.
                     let (token, completion) = queue
                         .poll()
                         .ok_or(DeviceError::Internal("full queue with nothing to poll"))?;
                     book(&mut inflight, &mut rts, token, completion);
                     last_completion = last_completion.max(completion);
-                    cursor = cursor.max(completion);
+                    at = at.max(completion);
                 }
+                Ok(SubmitOutcome::Degraded(waited)) => {
+                    // The IO never reached the device; its response
+                    // time is the backoff spent on it.
+                    rts[i] = waited;
+                    cursor = at;
+                    last_completion = last_completion.max(at + waited);
+                    break;
+                }
+                Err(e) => return Err(abandon(queue, device_depth, e)),
             }
-            i = end;
         }
     }
     while let Some((token, completion)) = queue.poll() {
         book(&mut inflight, &mut rts, token, completion);
         last_completion = last_completion.max(completion);
     }
+    ctx.count_timeouts(&rts);
     if queue.queue_depth() != device_depth {
         queue.set_queue_depth(device_depth)?;
     }
     Ok(RunResult::new(label, rts, 0, last_completion - base))
+}
+
+/// Leave the device usable after a failed submission: drain what is in
+/// flight and restore its own depth, then hand back `err` (e.g. a trace
+/// captured on a larger device replayed past this one's capacity).
+fn abandon(queue: &mut dyn IoQueue, device_depth: u32, err: DeviceError) -> DeviceError {
+    while queue.poll().is_some() {}
+    if queue.queue_depth() != device_depth {
+        // uflip-lint: allow(UF030, reason = "error path: the primary error outranks a failed depth restore")
+        let _ = queue.set_queue_depth(device_depth);
+    }
+    err
 }
 
 /// Book a queued completion: response time = completion − intended
@@ -476,57 +255,44 @@ fn book(
     rts[seq] = completion - intended;
 }
 
-/// Faithful replay on a synchronous backend: idle out the recorded
-/// gaps, issue one IO at a time.
-fn replay_faithful_serial(
+/// Replay on a synchronous backend, one IO at a time: faithful mode
+/// idles out the recorded gaps first, open-loop mode issues back to
+/// back.
+fn replay_serial(
     dev: &mut dyn BlockDevice,
     trace: &Trace,
     label: String,
+    faithful: bool,
+    ctx: &mut IoContext,
 ) -> Result<RunResult> {
     let base = dev.now();
     let t0 = trace.records[0].submit_ns;
     let mut rts = Vec::with_capacity(trace.len());
     for (i, rec) in trace.records.iter().enumerate() {
-        let target = base + Duration::from_nanos(rec.submit_ns - t0);
-        let now = dev.now();
-        if now < target {
-            dev.idle(target - now);
+        let io = rec.io_request(i as u64);
+        if faithful {
+            let target = base + Duration::from_nanos(rec.submit_ns - t0);
+            let now = dev.now();
+            if now < target {
+                dev.idle(target - now);
+            }
+            ctx.issue(dev, &io)?;
+            // Completion − intended submission: includes time the
+            // device spent behind schedule, as a host thread would
+            // measure.
+            rts.push(dev.now() - target);
+        } else {
+            rts.push(ctx.issue(dev, &io)?);
         }
-        let io = rec.io_request(i as u64);
-        issue(dev, io.mode, io.offset, io.size)?;
-        // Completion − intended submission: includes time the device
-        // spent behind schedule, as a host thread would measure.
-        let completion = dev.now();
-        rts.push(completion - target);
     }
+    ctx.count_timeouts(&rts);
     Ok(RunResult::new(label, rts, 0, dev.now() - base))
-}
-
-/// Open-loop replay on a synchronous backend: back-to-back issue.
-fn replay_open_serial(
-    dev: &mut dyn BlockDevice,
-    trace: &Trace,
-    label: String,
-) -> Result<RunResult> {
-    let base = dev.now();
-    let mut rts = Vec::with_capacity(trace.len());
-    for (i, rec) in trace.records.iter().enumerate() {
-        let io = rec.io_request(i as u64);
-        rts.push(issue(dev, io.mode, io.offset, io.size)?);
-    }
-    Ok(RunResult::new(label, rts, 0, dev.now() - base))
-}
-
-fn issue(dev: &mut dyn BlockDevice, mode: Mode, offset: u64, size: u64) -> Result<Duration> {
-    match mode {
-        Mode::Read => dev.read(offset, size),
-        Mode::Write => dev.write(offset, size),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uflip_patterns::Mode;
     use uflip_trace::TraceRecord;
 
     const MB: u64 = 1024 * 1024;

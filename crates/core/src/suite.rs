@@ -15,7 +15,7 @@ use crate::micro::{
     alignment, bursts, granularity, locality, mix, order, parallelism, partitioning, pause,
     MicroConfig,
 };
-use crate::run::RunResult;
+use crate::policy::{IoContext, IoPolicy};
 use crate::stats::RunStats;
 use crate::Result;
 use std::time::Duration;
@@ -69,10 +69,9 @@ pub struct SuiteOptions {
     pub snapshot_resets: bool,
     /// IO policy applied to every workload run: transient device
     /// faults (e.g. injected by [`uflip_device::FaultyDevice`]) are
-    /// retried with backoff instead of aborting the plan. `None`
-    /// (the default) keeps the plain executors — bit-identical to the
-    /// pre-policy behaviour.
-    pub io_policy: Option<crate::policy::IoPolicy>,
+    /// retried with backoff instead of aborting the plan. The default,
+    /// [`IoPolicy::none`], reports every device error as it comes.
+    pub io_policy: IoPolicy,
 }
 
 impl Default for SuiteOptions {
@@ -83,7 +82,7 @@ impl Default for SuiteOptions {
             state_coverage: 2.0,
             seed: 0xF11B,
             snapshot_resets: true,
-            io_policy: None,
+            io_policy: IoPolicy::none(),
         }
     }
 }
@@ -188,10 +187,7 @@ fn execute_steps(
                 let workload = p.workload.relocated(*offset);
                 let before =
                     (observed && per_run_deltas).then(|| crate::observe::counters_now(sink));
-                let run: RunResult = match &opts.io_policy {
-                    Some(policy) => workload.execute_with_policy(dev, policy, sink)?,
-                    None => workload.execute(dev)?,
-                };
+                let run = workload.run(dev, &mut IoContext::new(&opts.io_policy, sink))?;
                 if observed {
                     crate::observe::record_run_latencies(sink, workload.latency_class(), &run);
                     if let Some(before) = &before {
@@ -252,14 +248,17 @@ pub fn execute_plan(
 /// counters, histograms and channel samples; each run additionally
 /// emits a per-workload [`uflip_obs::WorkloadMetrics`] delta (write
 /// amplification, host vs flash bytes). With a null sink this is
-/// exactly [`execute_plan`].
+/// exactly [`execute_plan`], which leaves the device's own sink
+/// attached.
 pub fn execute_plan_observed(
     dev: &mut dyn BlockDevice,
     plan: &BenchmarkPlan,
     opts: &SuiteOptions,
     sink: &uflip_obs::SinkHandle,
 ) -> Result<SuiteResult> {
-    dev.set_sink(sink.clone());
+    if sink.is_enabled() {
+        dev.set_sink(sink.clone());
+    }
     let t0 = dev.now();
     if opts.enforce_state {
         enforce_and_settle(dev, opts)?;
@@ -376,7 +375,10 @@ pub fn execute_plan_sharded_observed(
     if !shardable {
         return execute_plan_observed(dev, plan, opts, sink);
     }
-    dev.set_sink(sink.clone());
+    let observed = sink.is_enabled();
+    if observed {
+        dev.set_sink(sink.clone());
+    }
     let t0 = dev.now();
     enforce_and_settle(dev, opts)?;
     let base = dev.now();
@@ -397,7 +399,9 @@ pub fn execute_plan_sharded_observed(
             .map(|w| {
                 // uflip-lint: allow(UF002, UF031, reason = "fork precondition checked by the snapshot_state gate above; no Result plumbing inside thread::scope closures")
                 let mut fork = dev.fork().expect("snapshot_capable devices support fork");
-                fork.set_sink(sink.clone());
+                if observed {
+                    fork.set_sink(sink.clone());
+                }
                 let state = snapshot.clone();
                 let segments = &segments;
                 let assigned: Vec<usize> = (w..segments.len()).step_by(workers).collect();

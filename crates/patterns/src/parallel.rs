@@ -7,9 +7,9 @@
 //! same baseline pattern inside its own slice.
 //!
 //! How the processes' IOs interleave *in time* depends on completion
-//! order and is the executor's concern (`uflip-core` provides both a
-//! virtual-time interleaver for simulated devices and a thread-based
-//! executor for real hardware). This module provides the per-process
+//! order and is the executor's concern (`uflip-core` drives them
+//! through a device's submission queue, on a virtual or a wall clock,
+//! or interleaves them host-side). This module provides the per-process
 //! specs and a deterministic round-robin interleaving that the
 //! virtual-time executor consumes.
 

@@ -2,7 +2,7 @@
 //! (ISSUE 6): the binary-heap calendar loop in `execute_parallel` must
 //! produce bit-identical [`RunResult`]s — every response time, the
 //! elapsed device time, and the device's post-run state — to the
-//! pre-rewrite linear-scan loop, which is preserved as
+//! pre-rewrite linear-scan loop, which is preserved here as
 //! [`execute_parallel_queued_reference`] exactly so these tests can
 //! drive both against identically seeded devices.
 //!
@@ -11,14 +11,133 @@
 //! as a differing `Duration` somewhere, not as noise.
 
 use proptest::prelude::*;
-use uflip::core::executor::{execute_parallel, execute_parallel_queued_reference};
+use std::time::Duration;
+use uflip::core::executor::execute_parallel;
+use uflip::core::slab::TokenSlab;
 use uflip::core::RunResult;
 use uflip::device::profiles::{catalog, DeviceProfile};
-use uflip::device::SimDevice;
-use uflip::patterns::{LbaFn, Mode, ParallelSpec, PatternSpec};
+use uflip::device::{BlockDevice, DeviceError, SimDevice, Token};
+use uflip::patterns::{IoRequest, LbaFn, Mode, ParallelSpec, PatternSpec};
 
 const KB: u64 = 1024;
 const MB: u64 = 1024 * 1024;
+
+/// The pre-calendar queued executor: per-iteration linear scan over
+/// every process for the earliest submission. Kept as the behavioral
+/// reference the calendar loop must match bit-for-bit.
+fn execute_parallel_queued_reference(
+    dev: &mut dyn BlockDevice,
+    par: &ParallelSpec,
+) -> uflip::core::Result<RunResult> {
+    let mut streams: Vec<_> = par.process_specs().into_iter().map(|s| s.iter()).collect();
+    let n = streams.len();
+    let base = dev.now();
+    let mut ready: Vec<Duration> = vec![base; n];
+    let mut pending: Vec<Option<IoRequest>> = streams.iter_mut().map(|s| s.next()).collect();
+    // Processes are synchronous: `blocked[p]` while p's IO is in flight.
+    let mut blocked = vec![false; n];
+    let queue = dev
+        .io_queue()
+        .ok_or(DeviceError::Internal("device lost its queue mid-run"))?;
+    let device_depth = queue.queue_depth();
+    if let Some(depth) = par.queue_depth {
+        queue.set_queue_depth(depth)?;
+    }
+    let mut inflight: TokenSlab<(usize, Duration, usize)> = TokenSlab::new();
+    let mut rts: Vec<Duration> = Vec::new();
+    let mut seq = 0usize;
+    let mut last_completion = base;
+    let retire_one = |inflight: &mut TokenSlab<(usize, Duration, usize)>,
+                      blocked: &mut [bool],
+                      ready: &mut [Duration],
+                      rts: &mut [Duration],
+                      token: Token,
+                      completion: Duration| {
+        let (p, submit, sq) = inflight.remove(token);
+        rts[sq] = completion - submit;
+        blocked[p] = false;
+        ready[p] = completion;
+    };
+    loop {
+        // Earliest-submitting runnable process, if any.
+        let candidate = (0..n)
+            .filter(|&p| !blocked[p] && pending[p].is_some())
+            .min_by_key(|&p| {
+                pending[p]
+                    .as_ref()
+                    .map_or(Duration::MAX, |io| ready[p] + io.submit_delay)
+            });
+        let Some(p) = candidate else {
+            match queue.poll() {
+                Some((token, completion)) => {
+                    retire_one(
+                        &mut inflight,
+                        &mut blocked,
+                        &mut ready,
+                        &mut rts,
+                        token,
+                        completion,
+                    );
+                    last_completion = last_completion.max(completion);
+                    continue;
+                }
+                None => break,
+            }
+        };
+        let submit = pending[p]
+            .as_ref()
+            .map_or(Duration::MAX, |io| ready[p] + io.submit_delay);
+        if let Some(next_done) = queue.next_completion() {
+            if next_done <= submit {
+                let (token, completion) = queue
+                    .poll()
+                    .ok_or(DeviceError::Internal("peeked completion vanished"))?;
+                retire_one(
+                    &mut inflight,
+                    &mut blocked,
+                    &mut ready,
+                    &mut rts,
+                    token,
+                    completion,
+                );
+                last_completion = last_completion.max(completion);
+                continue;
+            }
+        }
+        let io = pending[p]
+            .take()
+            .ok_or(DeviceError::Internal("candidate without an IO"))?;
+        match queue.submit(&io, submit) {
+            Ok(token) => {
+                inflight.insert(token, (p, submit, seq));
+                seq += 1;
+                rts.push(Duration::ZERO);
+                blocked[p] = true;
+                pending[p] = streams[p].next();
+            }
+            Err(DeviceError::QueueFull { .. }) => {
+                pending[p] = Some(io);
+                let (token, completion) = queue
+                    .poll()
+                    .ok_or(DeviceError::Internal("full queue with nothing to poll"))?;
+                retire_one(
+                    &mut inflight,
+                    &mut blocked,
+                    &mut ready,
+                    &mut rts,
+                    token,
+                    completion,
+                );
+                last_completion = last_completion.max(completion);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    if queue.queue_depth() != device_depth {
+        queue.set_queue_depth(device_depth)?;
+    }
+    Ok(RunResult::new(par.name(), rts, 0, last_completion - base))
+}
 
 /// Three catalogue profiles with distinct FTLs and channel layouts:
 /// a hybrid-log device, a block-mapped SSD, and a block-mapped USB
@@ -48,14 +167,7 @@ fn assert_equivalent(profile: &DeviceProfile, spec: &ParallelSpec) -> Result<(),
 
 /// Everything the device can tell us after a run: clock, FTL host
 /// statistics and aggregated NAND counters (busy time included).
-fn post_state(
-    dev: &SimDevice,
-) -> (
-    std::time::Duration,
-    uflip::ftl::FtlStats,
-    uflip::nand::NandStats,
-) {
-    use uflip::device::BlockDevice;
+fn post_state(dev: &SimDevice) -> (Duration, uflip::ftl::FtlStats, uflip::nand::NandStats) {
     (dev.now(), dev.ftl().stats(), dev.ftl().nand_stats())
 }
 

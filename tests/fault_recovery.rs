@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use uflip::core::replay::{replay_trace_with_policy, ReplayMode};
-use uflip::core::{execute_run_observed, IoPolicy};
+use uflip::core::{execute_run_with_policy, IoPolicy};
 use uflip::device::{BlockDevice, ControllerConfig, FaultPlan, FaultyDevice, MemDevice, SimDevice};
 use uflip::ftl::{
     BlockMapConfig, BlockMapFtl, Ftl, HybridLogConfig, HybridLogFtl, PageMapConfig, PageMapFtl,
@@ -51,11 +51,11 @@ proptest! {
 
         let (bare_metrics, bare_sink) = Metrics::shared();
         let mut bare = mem();
-        let bare_run = execute_run_observed(&mut bare, &spec, &bare_sink).unwrap();
+        let bare_run = execute_run_with_policy(&mut bare, &spec, &IoPolicy::none(), &bare_sink).unwrap();
 
         let (faulty_metrics, faulty_sink) = Metrics::shared();
         let mut faulty = FaultyDevice::new(mem(), FaultPlan::default());
-        let faulty_run = execute_run_observed(&mut faulty, &spec, &faulty_sink).unwrap();
+        let faulty_run = execute_run_with_policy(&mut faulty, &spec, &IoPolicy::none(), &faulty_sink).unwrap();
 
         prop_assert_eq!(&bare_run.rts, &faulty_run.rts);
         prop_assert_eq!(bare_run.elapsed, faulty_run.elapsed);

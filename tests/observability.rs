@@ -6,13 +6,18 @@
 
 use proptest::prelude::*;
 use std::time::Duration;
-use uflip::core::executor::{execute_parallel, execute_parallel_observed};
+use uflip::core::executor::{
+    execute_parallel, execute_parallel_with_policy, execute_run, execute_run_with_policy,
+};
 use uflip::core::micro::MicroConfig;
-use uflip::core::{run_full_suite_observed, RunStats, SuiteOptions};
+use uflip::core::replay::{replay_trace_with_policy, ReplayMode};
+use uflip::core::{run_full_suite_observed, IoPolicy, RunStats, SuiteOptions};
 use uflip::device::profiles::catalog;
+use uflip::device::BlockDevice;
 use uflip::ftl::SECTOR_BYTES;
-use uflip::obs::{bucket_width_at, CounterId, LatencyHistogram, Metrics, SinkHandle};
+use uflip::obs::{bucket_width_at, CounterId, LatencyClass, LatencyHistogram, Metrics, SinkHandle};
 use uflip::patterns::{LbaFn, Mode, ParallelSpec, PatternSpec};
+use uflip::trace::{Trace, TraceRecord};
 
 const KB: u64 = 1024;
 const MB: u64 = 1024 * 1024;
@@ -157,7 +162,8 @@ fn recording_sink_leaves_runs_fingerprint_identical() {
     let mut observed_dev = catalog::memoright().build_sim(7);
     let (metrics, sink) = Metrics::shared();
     let observed =
-        execute_parallel_observed(observed_dev.as_mut(), &spec, &sink).expect("observed run");
+        execute_parallel_with_policy(observed_dev.as_mut(), &spec, &IoPolicy::none(), &sink)
+            .expect("observed run");
 
     assert_eq!(plain.rts, observed.rts);
     assert_eq!(plain.elapsed, observed.elapsed);
@@ -177,4 +183,76 @@ fn recording_sink_leaves_runs_fingerprint_identical() {
     // The null sink reports disabled, so instrumented layers skip
     // emission entirely — the documented zero-overhead default.
     assert!(!uflip::obs::ObsSink::is_enabled(&*SinkHandle::null()));
+}
+
+/// `execute_run_with_policy` observes the run whatever the policy: an
+/// enabled sink gets the running-phase response times (`io_count −
+/// io_ignore` of them) under the pattern's latency class and exactly
+/// one per-workload record.
+#[test]
+fn run_with_policy_records_latencies_and_one_workload() {
+    let spec =
+        PatternSpec::baseline(LbaFn::Random, Mode::Write, 16 * KB, 8 * MB, 64).with_counts(64, 16);
+    for policy in [IoPolicy::none(), IoPolicy::default()] {
+        let mut dev = catalog::memoright().build_sim(7);
+        let (metrics, sink) = Metrics::shared();
+        let run = execute_run_with_policy(dev.as_mut(), &spec, &policy, &sink).expect("run");
+        assert_eq!(run.len(), 64);
+        assert_eq!(metrics.latency(LatencyClass::Write).count(), 64 - 16);
+        assert_eq!(metrics.latency(LatencyClass::Read).count(), 0);
+        let workloads = metrics.snapshot().workloads;
+        assert_eq!(workloads.len(), 1, "{policy:?}");
+        assert_eq!(workloads[0].label, run.label);
+        assert_eq!(workloads[0].metrics.host_writes, 64);
+    }
+}
+
+/// An open-loop replay submits one record at a time, so on a queue of
+/// depth D every record after the first D meets a full queue once:
+/// N − D rejections, whatever the policy.
+#[test]
+fn open_loop_replay_counts_every_queue_full_rejection() {
+    const N: u64 = 300;
+    const D: u32 = 4;
+    let mut trace = Trace::new("synthetic", "RR");
+    for i in 0..N {
+        trace.push(TraceRecord {
+            op: Mode::Read,
+            lba: (i * 7919 % 2048) * 8,
+            sectors: 8,
+            submit_ns: i * 1_000,
+            complete_ns: i * 1_000,
+            queue_depth: 1,
+        });
+    }
+    for policy in [IoPolicy::none(), IoPolicy::default()] {
+        let mut dev = catalog::memoright().build_sim(7);
+        let (metrics, sink) = Metrics::shared();
+        let mode = ReplayMode::OpenLoop { queue_depth: D };
+        let run =
+            replay_trace_with_policy(dev.as_mut(), &trace, mode, &policy, &sink).expect("replay");
+        assert_eq!(run.len(), N as usize);
+        assert_eq!(
+            metrics.counter(CounterId::QueueFullRejections),
+            N - u64::from(D),
+            "{policy:?}"
+        );
+    }
+}
+
+/// A plain run passes the null sink, which is never attached: a sink
+/// the caller attached to the device stays attached and still counts
+/// the run's host IOs.
+#[test]
+fn plain_run_keeps_the_device_sink_counting() {
+    let spec = PatternSpec::baseline(LbaFn::Random, Mode::Write, 16 * KB, 8 * MB, 32);
+    let mut dev = catalog::memoright().build_sim(7);
+    let (metrics, sink) = Metrics::shared();
+    dev.set_sink(sink);
+    execute_run(dev.as_mut(), &spec).expect("run");
+    assert_eq!(metrics.counter(CounterId::HostWrites), 32);
+    assert_eq!(
+        metrics.counter(CounterId::HostWrites),
+        dev.ftl().stats().host_writes
+    );
 }
