@@ -25,19 +25,22 @@
 //!
 //! Simulated suites run with snapshot-served state resets and their
 //! reset-delimited plan segments sharded across worker threads
-//! (`--threads N`, 0 = one per CPU); results are bit-identical to the
-//! serial paper-literal path. `--device all` additionally fans the
-//! representative profiles out across threads, one suite per device.
+//! (`--threads N`, 0 = one per CPU, the default; `--threads 1` runs
+//! the plan serially and records per-run workload metrics); results
+//! are bit-identical to the serial run. `--device all` additionally
+//! fans the representative profiles out across threads, one suite per
+//! device.
 
 use std::time::Duration;
 use uflip_bench::{mean_ms, DeviceTarget, RealDeviceSpec, RealOpenMode};
 use uflip_core::executor::execute_run_with_policy;
+use uflip_core::methodology::plan::BenchmarkPlan;
 use uflip_core::methodology::state::enforce_random_state;
 use uflip_core::micro::{
     alignment, bursts, granularity, locality, mix, order, parallelism, partitioning, pause,
     MicroConfig,
 };
-use uflip_core::suite::{run_full_suite_sharded_observed, SuiteOptions, SuiteResult};
+use uflip_core::suite::{execute_plan_observed, full_suite, SuiteOptions, SuiteResult};
 use uflip_core::Experiment;
 use uflip_core::IoPolicy;
 use uflip_device::profiles::catalog;
@@ -150,11 +153,10 @@ fn open_device(cli: &Cli, sink: &SinkHandle) -> Box<dyn BlockDevice> {
     dev
 }
 
-/// Surface the suite's bytes-based write amplification (satellite of
-/// the FTL's `write_amplification_bytes`): host-logical bytes written
-/// vs NAND bytes programmed, taken from the run's observability
-/// counters. Prints nothing when the device exposes no FTL internals
-/// (real hardware) or the suite wrote nothing.
+/// Surface the suite's bytes-based write amplification: host-logical
+/// bytes written vs NAND bytes programmed, taken from the run's
+/// observability counters. Prints nothing when the device exposes no
+/// FTL internals (real hardware) or the suite wrote nothing.
 fn print_write_amp(prefix: &str, metrics: &Metrics) {
     let logical = metrics.counter(CounterId::LogicalBytesWritten);
     let programmed = metrics.counter(CounterId::ProgramBytes);
@@ -336,33 +338,27 @@ fn main() {
                     cli.threads
                 };
                 let inner_threads = (budget / profiles.len()).max(1);
-                let results: Vec<(
-                    String,
-                    uflip_core::methodology::plan::BenchmarkPlan,
-                    SuiteResult,
-                    std::sync::Arc<Metrics>,
-                )> = std::thread::scope(|scope| {
+                let results: Vec<_> = std::thread::scope(|scope| {
                     let handles: Vec<_> = profiles
                         .iter()
                         .map(|profile| {
-                            let threads = inner_threads;
                             let quick = cli.quick;
                             scope.spawn(move || {
                                 let mut dev = profile.build_sim(0xF11B);
                                 let cfg = suite_cfg(quick, dev.capacity_bytes());
-                                let opts = SuiteOptions::default();
+                                let plan =
+                                    BenchmarkPlan::build(full_suite(&cfg), dev.capacity_bytes());
+                                let opts = SuiteOptions {
+                                    threads: inner_threads,
+                                    ..Default::default()
+                                };
                                 // Each worker records into its own
                                 // Metrics so write amplification stays
                                 // attributable per device.
                                 let (wa_metrics, wa_sink) = Metrics::shared();
-                                let (plan, result) = run_full_suite_sharded_observed(
-                                    dev.as_mut(),
-                                    &cfg,
-                                    &opts,
-                                    threads,
-                                    &wa_sink,
-                                )
-                                .expect("suite");
+                                let result =
+                                    execute_plan_observed(dev.as_mut(), &plan, &opts, &wa_sink)
+                                        .expect("suite");
                                 (profile.id.clone(), plan, result, wa_metrics)
                             })
                         })
@@ -392,8 +388,10 @@ fn main() {
             } else {
                 let mut dev = open_device(&cli, &sink);
                 let cfg = suite_cfg(cli.quick, dev.capacity_bytes());
+                let plan = BenchmarkPlan::build(full_suite(&cfg), dev.capacity_bytes());
                 let opts = SuiteOptions {
                     io_policy: cli.io_policy,
+                    threads: cli.threads,
                     ..Default::default()
                 };
                 // Always run the suite observed: with --metrics the
@@ -403,14 +401,8 @@ fn main() {
                     Some(m) => (m.metrics.clone(), sink.clone()),
                     None => Metrics::shared(),
                 };
-                let (plan, result) = run_full_suite_sharded_observed(
-                    dev.as_mut(),
-                    &cfg,
-                    &opts,
-                    cli.threads,
-                    &wa_sink,
-                )
-                .expect("suite");
+                let result =
+                    execute_plan_observed(dev.as_mut(), &plan, &opts, &wa_sink).expect("suite");
                 check_async_error(dev.as_mut(), "suite");
                 println!(
                     "plan: {} runs, {} state resets; device time {:.1} s",
@@ -482,6 +474,8 @@ fn main() {
                  [--bench NAME] [--pattern SR|RR|SW|RW] [--io-size BYTES] [--count N] \
                  [--quick] [--threads N] [--out DIR] [--metrics PATH] \
                  [--faults PLAN.json] [--io-policy SPEC]\n\
+                 --threads N shards a suite's plan over N workers (0 = one per \
+                 CPU, the default; 1 = serial).\n\
                  real targets: --device file:PATH[:SIZE] (auto O_DIRECT), \
                  direct:PATH[:SIZE], buffered:PATH[:SIZE]; SIZE takes K/M/G \
                  suffixes. Write patterns are DESTRUCTIVE on block devices.\n\

@@ -6,13 +6,17 @@
 //! is the trajectory for that number. Per representative profile it
 //! measures:
 //!
-//! * **trace replay** — an OLTP B-tree trace through [`replay_trace`]
-//!   in `OpenLoop` mode at queue depths 16 and 1, and in
-//!   `TimingFaithful` mode (host seconds → simulated IOPS);
-//! * **parallel patterns** — [`execute_parallel`] at queue depths 1, 4
-//!   and 16 (the event-calendar executor's own hot loop);
+//! * **trace replay** — an OLTP B-tree trace through
+//!   [`replay_trace`](uflip_core::replay::replay_trace) in `OpenLoop`
+//!   mode at queue depths 16 and 1, and in `TimingFaithful` mode (host
+//!   seconds → simulated IOPS);
+//! * **parallel patterns** —
+//!   [`execute_parallel`](uflip_core::executor::execute_parallel) at
+//!   queue depths 1, 4 and 16 (the event-calendar executor's own hot
+//!   loop);
 //! * **full-plan execution** — a whole quick-suite [`BenchmarkPlan`]
-//!   through [`execute_plan`] (host seconds per plan).
+//!   through [`execute_plan`](uflip_core::suite::execute_plan) (host
+//!   seconds per plan).
 //!
 //! Each timed region runs three times on freshly built devices and the
 //! fastest host time is kept (best-of-N strips host scheduling noise;

@@ -13,6 +13,9 @@
 //!     [--device ID] [--threads N] [--out PATH]
 //! ```
 //!
+//! `--threads N` sets the sharded path's workers (0 = one per CPU, the
+//! default; 1 runs it serially, so it times the snapshot path again).
+//!
 //! The sharded result is asserted bit-identical to the serial snapshot
 //! result on every run — the benchmark doubles as an integration check.
 
@@ -21,7 +24,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 use uflip_core::methodology::plan::BenchmarkPlan;
 use uflip_core::micro::MicroConfig;
-use uflip_core::suite::{execute_plan, execute_plan_sharded, full_suite, SuiteOptions};
+use uflip_core::suite::{execute_plan, full_suite, SuiteOptions};
 use uflip_device::profiles::catalog;
 use uflip_report::json::write_json;
 
@@ -133,8 +136,11 @@ fn main() {
 
         let mut dev = profile.build_sim(opts.seed);
         let t = Instant::now();
-        let sharded =
-            execute_plan_sharded(dev.as_mut(), &plan, &opts, cli.threads).expect("sharded");
+        let sharded_opts = SuiteOptions {
+            threads: cli.threads,
+            ..opts
+        };
+        let sharded = execute_plan(dev.as_mut(), &plan, &sharded_opts).expect("sharded");
         let sharded_s = t.elapsed().as_secs_f64();
 
         assert_eq!(

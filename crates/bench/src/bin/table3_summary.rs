@@ -31,7 +31,7 @@ fn main() {
         None => catalog::representative(),
         Some(arg) => vec![uflip_bench::sim_profile_or_exit(arg)],
     };
-    println!("Table 3: Result summary (simulated devices; paper values in EXPERIMENTS.md)");
+    println!("Table 3: Result summary (simulated devices; compare with the paper's Table 3)");
     println!("{}", DeviceSummary::table3_header());
     // Each profile characterizes on its own device instance, so the
     // devices fan out across worker threads; rows print in catalogue

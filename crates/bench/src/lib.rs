@@ -1,7 +1,7 @@
 //! # uflip-bench — harness shared by the figure/table binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §3 for the index). This library holds the
+//! Each `fig…`/`table…` binary in `src/bin/` regenerates the table or
+//! figure of the paper it is named after. This library holds the
 //! plumbing they share: argument parsing, output directories, and the
 //! standard preparation sequence (state enforcement + settle) of §4.
 

@@ -22,14 +22,14 @@
 //! * [`replay`] — beyond the paper: feed a captured or generated
 //!   [`uflip_trace::Trace`] back through the submit/poll executor,
 //!   timing-faithful or open-loop with a queue-depth sweep.
-//! * [`calibrate`] — beyond the paper: run a reduced plan of the
+//! * [`mod@calibrate`] — beyond the paper: run a reduced plan of the
 //!   micro-benchmarks against *any* device and fit the result into a
 //!   serializable `DeviceProfile` (measured latency curves, alignment
 //!   penalty, channel count) — the estimation-from-microbenchmarks
 //!   approach of the internal-parallelism literature (PAPERS.md).
 //! * [`methodology`] — §4: device-state enforcement (random writes of
 //!   random size over the whole device), start-up/running-phase
-//!   detection and the derivation of `IOIgnore`/`IOCount`, inter-run
+//!   detection (what `IOIgnore`/`IOCount` must cover), inter-run
 //!   pause calibration (the SR–RW–SR experiment of Figure 5), and
 //!   benchmark plans that group sequential-write experiments and insert
 //!   state resets.
@@ -62,12 +62,8 @@ pub use experiment::{Experiment, ExperimentResult, Workload};
 pub use policy::{ExhaustionAction, IoPolicy};
 pub use replay::{replay_trace, replay_trace_with_policy, ReplayMode};
 pub use run::RunResult;
-pub use stats::{RunStats, StreamingStats};
-pub use suite::{
-    execute_plan, execute_plan_observed, execute_plan_sharded, execute_plan_sharded_observed,
-    full_suite, run_full_suite, run_full_suite_observed, run_full_suite_sharded,
-    run_full_suite_sharded_observed, SuiteOptions, SuiteResult,
-};
+pub use stats::RunStats;
+pub use suite::{execute_plan, execute_plan_observed, full_suite, SuiteOptions, SuiteResult};
 
 /// Result alias shared with the device layer.
 pub type Result<T> = std::result::Result<T, uflip_device::DeviceError>;

@@ -16,8 +16,9 @@
 //!   running phase (0 when the trace never oscillates);
 //! * `variability` = max ÷ min over the running phase.
 //!
-//! These drive the choice of `IOIgnore` (≥ start-up) and `IOCount`
-//! (enough periods for the mean to converge).
+//! The paper reads `IOIgnore` (≥ start-up) and `IOCount` (enough
+//! periods for the mean to converge) off these; `MicroConfig` carries
+//! the values chosen that way.
 
 use std::time::Duration;
 
@@ -125,22 +126,6 @@ pub fn detect_phases(rts: &[Duration]) -> Phases {
     }
 }
 
-/// Derive `IOIgnore` from a set of baseline-pattern phase analyses:
-/// the upper bound of the observed start-ups (§4.2: "derive upper
-/// bounds across the patterns"), with a safety margin.
-pub fn derive_io_ignore(analyses: &[Phases]) -> u64 {
-    analyses.iter().map(|p| p.start_up).max().unwrap_or(0) as u64
-}
-
-/// Derive `IOCount`: enough IOs to cover the start-up phase plus
-/// `periods_wanted` oscillation periods (with a floor for uniform
-/// traces).
-pub fn derive_io_count(analyses: &[Phases], periods_wanted: usize, floor: u64) -> u64 {
-    let ignore = derive_io_ignore(analyses);
-    let period = analyses.iter().map(|p| p.period).max().unwrap_or(0);
-    (ignore + (period * periods_wanted) as u64).max(floor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,20 +202,5 @@ mod tests {
         let p = detect_phases(&[]);
         assert_eq!(p.start_up, 0);
         assert_eq!(p.period, 0);
-    }
-
-    #[test]
-    fn io_ignore_and_count_derivation() {
-        let analyses = vec![
-            detect_phases(&mtron_like()),
-            detect_phases(&kingston_like()),
-        ];
-        let ignore = derive_io_ignore(&analyses);
-        assert_eq!(ignore, 128);
-        let count = derive_io_count(&analyses, 20, 512);
-        assert_eq!(count, 128 + 128 * 20);
-        // The floor dominates for uniform traces.
-        let uniform = vec![detect_phases(&[us(300); 10])];
-        assert_eq!(derive_io_count(&uniform, 20, 512), 512);
     }
 }

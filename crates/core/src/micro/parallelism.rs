@@ -10,8 +10,8 @@
 //! submission; high degrees make multiple sequential-write patterns
 //! degenerate to partitioned-write patterns.
 //!
-//! Beyond the paper, [`queue_depth_experiments`] sweeps the *device
-//! command-queue depth* (NCQ) at a fixed high degree: the 2008 devices
+//! Beyond the paper, the `qd_sweep` binary sweeps the *device
+//! command-queue depth* (NCQ, [`queue_depths`]): the 2008 devices
 //! uFLIP measured served one command at a time (which is why Hint 7
 //! found no benefit), but the simulator's submission engine can
 //! overlap in-flight IOs across flash channels, so the sweep shows the
@@ -27,7 +27,7 @@ pub fn degrees() -> Vec<u32> {
     (0..=4u32).map(|e| 1 << e).collect()
 }
 
-/// Queue depths swept by [`queue_depth_experiments`]: 1, 2, 4, 8, 16, 32.
+/// Device queue depths swept by `qd_sweep`: 1, 2, 4, 8, 16, 32.
 pub fn queue_depths() -> Vec<u32> {
     (0..=5u32).map(|e| 1 << e).collect()
 }
@@ -57,37 +57,6 @@ pub fn experiments(cfg: &MicroConfig) -> Vec<Experiment> {
         .collect()
 }
 
-/// Build the four queue-depth sweep experiments (one per baseline
-/// pattern): `ParallelDegree` fixed at 16 — the deepest Table 1 value,
-/// so host-side concurrency never caps the device — while the device
-/// queue depth sweeps [`queue_depths`].
-pub fn queue_depth_experiments(cfg: &MicroConfig) -> Vec<Experiment> {
-    const DEGREE: u32 = 16;
-    let baselines = [
-        (LbaFn::Sequential, Mode::Read, "SR"),
-        (LbaFn::Random, Mode::Read, "RR"),
-        (LbaFn::Sequential, Mode::Write, "SW"),
-        (LbaFn::Random, Mode::Write, "RW"),
-    ];
-    baselines
-        .into_iter()
-        .map(|(lba, mode, code)| Experiment {
-            name: format!("parallelism/qd/{code}"),
-            varying: "QueueDepth",
-            points: queue_depths()
-                .into_iter()
-                .map(|d| ExperimentPoint {
-                    param: f64::from(d),
-                    param_label: format!("qd {d}"),
-                    workload: Workload::Parallel(
-                        ParallelSpec::new(cfg.baseline(lba, mode), DEGREE).with_queue_depth(d),
-                    ),
-                })
-                .collect(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,26 +64,6 @@ mod tests {
     #[test]
     fn degrees_match_table1() {
         assert_eq!(degrees(), vec![1, 2, 4, 8, 16]);
-    }
-
-    #[test]
-    fn queue_depth_sweep_is_valid_and_fixed_degree() {
-        let exps = queue_depth_experiments(&MicroConfig::quick());
-        assert_eq!(exps.len(), 4);
-        for e in &exps {
-            assert_eq!(e.varying, "QueueDepth");
-            assert_eq!(e.points.len(), queue_depths().len());
-            for (p, depth) in e.points.iter().zip(queue_depths()) {
-                match &p.workload {
-                    Workload::Parallel(ps) => {
-                        ps.validate().expect("queue-depth point must validate");
-                        assert_eq!(ps.degree, 16, "degree is fixed so depth is the variable");
-                        assert_eq!(ps.queue_depth, Some(depth));
-                    }
-                    _ => panic!("queue-depth sweep must produce parallel workloads"),
-                }
-            }
-        }
     }
 
     #[test]

@@ -48,20 +48,6 @@ impl RunResult {
         RunStats::from_rts(&self.rts)
     }
 
-    /// Running-phase statistics via the constant-memory
-    /// [`crate::stats::StreamingStats`] path: exact count/min/max/mean/
-    /// stddev/total, histogram-approximated percentiles. Exists so the
-    /// streaming path is exercised against [`RunResult::summary`] on
-    /// real runs; prefer `summary` when the `rts` vector is in hand.
-    pub fn summary_streaming(&self) -> Option<RunStats> {
-        let start = (self.io_ignore as usize).min(self.rts.len());
-        let mut s = crate::stats::StreamingStats::new();
-        for rt in &self.rts[start..] {
-            s.record(*rt);
-        }
-        s.finish()
-    }
-
     /// Running average including everything up to IO `i` (Figure 3's
     /// "Avg(rt) incl." curve).
     pub fn running_average(&self) -> Vec<Duration> {

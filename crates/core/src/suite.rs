@@ -3,6 +3,13 @@
 //! (state resets, inter-run pauses, target-space packing) while
 //! running it.
 //!
+//! [`execute_plan`] is the one way to run a plan, and
+//! [`execute_plan_observed`] the same with an observability sink.
+//! Build the plan with
+//! `BenchmarkPlan::build(full_suite(&cfg), dev.capacity_bytes())`;
+//! [`SuiteOptions::threads`] chooses between running the plan serially
+//! and sharding its reset-delimited segments across worker threads.
+//!
 //! This is the equivalent of the paper's FlashIO "benchmark plan"
 //! execution mode: point it at a device and it produces every
 //! experiment's statistics in one pass, suitable for JSON archival
@@ -18,8 +25,9 @@ use crate::micro::{
 use crate::policy::{IoContext, IoPolicy};
 use crate::stats::RunStats;
 use crate::Result;
+use std::ops::Range;
 use std::time::Duration;
-use uflip_device::{BlockDevice, DeviceError};
+use uflip_device::{BlockDevice, DeviceError, DeviceState};
 
 /// All nine micro-benchmarks under one configuration, in the paper's
 /// presentation order (location parameters, then parallel/mixed, then
@@ -63,8 +71,8 @@ pub struct SuiteOptions {
     /// random writes through the full FTL (the dominant cost of
     /// `execute_plan` on simulated devices; 5 hours to 35 days on the
     /// paper's hardware). Devices without snapshot support fall back
-    /// to re-enforcement. Also a precondition for
-    /// [`execute_plan_sharded`]: restored resets make the plan's
+    /// to re-enforcement. Also a precondition for running on more than
+    /// one of [`Self::threads`]: restored resets make the plan's
     /// reset-delimited segments independent.
     pub snapshot_resets: bool,
     /// IO policy applied to every workload run: transient device
@@ -72,6 +80,11 @@ pub struct SuiteOptions {
     /// retried with backoff instead of aborting the plan. The default,
     /// [`IoPolicy::none`], reports every device error as it comes.
     pub io_policy: IoPolicy,
+    /// Worker threads for the plan's reset-delimited segments (0 = one
+    /// per available CPU), capped at the segment count. More than one
+    /// worker needs snapshot resets on a snapshot-capable device;
+    /// otherwise, and at the default of 1, the plan runs serially.
+    pub threads: usize,
 }
 
 impl Default for SuiteOptions {
@@ -83,6 +96,7 @@ impl Default for SuiteOptions {
             seed: 0xF11B,
             snapshot_resets: true,
             io_policy: IoPolicy::none(),
+            threads: 1,
         }
     }
 }
@@ -150,13 +164,13 @@ fn enforce_and_settle(dev: &mut dyn BlockDevice, opts: &SuiteOptions) -> Result<
 
 /// Execute one contiguous slice of plan steps (no [`PlanStep::
 /// ResetState`] inside) — the shared inner loop of the serial and
-/// sharded executors.
+/// sharded bodies.
 ///
 /// With an enabled sink, each run's running-phase response times are
 /// recorded under the workload's latency class. `per_run_deltas`
 /// additionally brackets every run with a counter snapshot and emits
 /// the delta as a [`uflip_obs::WorkloadMetrics`] record; the sharded
-/// executor turns this off because concurrent segments would bleed
+/// body turns this off because concurrent segments would bleed
 /// into each other's deltas (the global counters, histograms and
 /// channel samples stay exact — they are sums, not differences).
 fn execute_steps(
@@ -212,7 +226,7 @@ fn execute_steps(
 /// excluding) every [`PlanStep::ResetState`]. With resets served by
 /// snapshot restore, each segment starts from the *same* device state,
 /// so segments are mutually independent — the unit of sharding.
-fn plan_segments(plan: &BenchmarkPlan) -> Vec<std::ops::Range<usize>> {
+fn plan_segments(plan: &BenchmarkPlan) -> Vec<Range<usize>> {
     let mut segments = Vec::new();
     let mut start = 0usize;
     for (i, step) in plan.steps.iter().enumerate() {
@@ -235,6 +249,15 @@ fn plan_segments(plan: &BenchmarkPlan) -> Vec<std::ops::Range<usize>> {
 /// enforcement and the per-segment device time. Devices without
 /// snapshot support (and runs with `snapshot_resets` off) re-simulate
 /// the enforcement at every reset, the paper-literal behaviour.
+///
+/// Restored resets make the plan's reset-delimited segments
+/// independent, so with [`SuiteOptions::threads`] above 1 they run on
+/// forks of the device across worker threads. Virtual time makes the
+/// decomposition exact: the merged [`SuiteResult`] — points in plan
+/// order, reset count, summed device time — is **bit-identical** to
+/// the serial run's (asserted in `tests/snapshot_parallel.rs`). A
+/// sharded run leaves the device in the post-enforcement state; a
+/// serial run leaves it in the last segment's.
 pub fn execute_plan(
     dev: &mut dyn BlockDevice,
     plan: &BenchmarkPlan,
@@ -243,13 +266,14 @@ pub fn execute_plan(
     execute_plan_observed(dev, plan, opts, &uflip_obs::SinkHandle::null())
 }
 
-/// Observed [`execute_plan`]: attach `sink` to the device before the
-/// plan runs, so state enforcement and every workload feed its
-/// counters, histograms and channel samples; each run additionally
-/// emits a per-workload [`uflip_obs::WorkloadMetrics`] delta (write
-/// amplification, host vs flash bytes). With a null sink this is
-/// exactly [`execute_plan`], which leaves the device's own sink
-/// attached.
+/// Observed [`execute_plan`]: attach `sink` to the device (and to every
+/// worker fork) before the plan runs, so state enforcement and every
+/// workload feed its counters, histograms and channel samples. A
+/// serial run additionally emits one [`uflip_obs::WorkloadMetrics`]
+/// delta per run (write amplification, host vs flash bytes); a sharded
+/// run emits none, because concurrent segments would bleed into each
+/// other's differences. With a null sink this is exactly
+/// [`execute_plan`], which leaves the device's own sink attached.
 pub fn execute_plan_observed(
     dev: &mut dyn BlockDevice,
     plan: &BenchmarkPlan,
@@ -259,138 +283,98 @@ pub fn execute_plan_observed(
     if sink.is_enabled() {
         dev.set_sink(sink.clone());
     }
+    let segments = plan_segments(plan);
     let t0 = dev.now();
     if opts.enforce_state {
         enforce_and_settle(dev, opts)?;
     }
+    let base = dev.now();
     // Memoize the enforced state (it depends only on the device,
-    // seed, coverage and IO ceiling — all fixed for this plan) the
-    // first time a reset will need it.
+    // seed, coverage and IO ceiling — all fixed for this plan) when a
+    // reset will need it.
     let snapshot = if opts.enforce_state
         && opts.snapshot_resets
+        && segments.len() > 1
         && dev.snapshot_capable()
-        && plan.steps.iter().any(|s| matches!(s, PlanStep::ResetState))
     {
         dev.snapshot_state()
     } else {
         None
     };
+    let workers = match opts.threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
+    .min(segments.len());
+    let (points, segment_time) = match snapshot {
+        Some(state) if workers > 1 => {
+            execute_sharded(dev, plan, opts, &segments, state.as_ref(), workers, sink)?
+        }
+        snapshot => execute_serial(dev, plan, opts, &segments, snapshot.as_deref(), sink)?,
+    };
+    Ok(SuiteResult {
+        points,
+        resets: segments.len() - 1,
+        device_time: base - t0 + segment_time,
+    })
+}
+
+/// Run the segments in order on `dev`, serving each reset from
+/// `snapshot` or, without one, by re-enforcing the random state.
+/// Returns the points and the device time spent after the initial
+/// enforcement.
+fn execute_serial(
+    dev: &mut dyn BlockDevice,
+    plan: &BenchmarkPlan,
+    opts: &SuiteOptions,
+    segments: &[Range<usize>],
+    snapshot: Option<&dyn DeviceState>,
+    sink: &uflip_obs::SinkHandle,
+) -> Result<(Vec<SuitePointResult>, Duration)> {
     let mut points = Vec::new();
-    let mut resets = 0;
     let mut device_time = Duration::ZERO;
-    let mut seg_start = t0;
-    let mut cursor = 0usize;
-    for (i, step) in plan.steps.iter().enumerate() {
-        if !matches!(step, PlanStep::ResetState) {
-            continue;
+    let mut seg_start = dev.now();
+    for (i, seg) in segments.iter().enumerate() {
+        if i > 0 {
+            match snapshot {
+                Some(state) => {
+                    // Restoring rewinds the clock to the snapshot
+                    // instant; bank this segment's device time first.
+                    device_time += dev.now() - seg_start;
+                    dev.restore_state(state)?;
+                    seg_start = dev.now();
+                }
+                None if opts.enforce_state => enforce_and_settle(dev, opts)?,
+                None => {}
+            }
         }
         execute_steps(
             dev,
             plan,
             opts,
-            &plan.steps[cursor..i],
+            &plan.steps[seg.clone()],
             &mut points,
             sink,
             true,
         )?;
-        cursor = i + 1;
-        resets += 1;
-        match &snapshot {
-            Some(state) => {
-                // Restoring rewinds the clock to the snapshot instant;
-                // bank this segment's device time first.
-                device_time += dev.now() - seg_start;
-                dev.restore_state(state.as_ref())?;
-                seg_start = dev.now();
-            }
-            None => {
-                if opts.enforce_state {
-                    enforce_and_settle(dev, opts)?;
-                }
-            }
-        }
     }
-    execute_steps(
-        dev,
-        plan,
-        opts,
-        &plan.steps[cursor..],
-        &mut points,
-        sink,
-        true,
-    )?;
     device_time += dev.now() - seg_start;
-    Ok(SuiteResult {
-        points,
-        resets,
-        device_time,
-    })
+    Ok((points, device_time))
 }
 
-/// Execute a benchmark plan with its reset-delimited segments sharded
-/// across OS threads, each running on an independent clone of the
-/// enforced device state.
-///
-/// Requires state enforcement with snapshot resets on a device that
-/// supports [`uflip_device::BlockDevice::snapshot_state`] and
-/// [`uflip_device::BlockDevice::fork`]; every other case (including a
-/// plan without resets, which is a single segment) falls back to the
-/// serial [`execute_plan`], so this is always safe to call.
-///
-/// Virtual time makes the decomposition exact: each segment starts
-/// from the same restored snapshot a serial execution would restore,
-/// so the merged [`SuiteResult`] — points in plan order, reset count,
-/// summed device time — is **bit-identical** to the serial path's
-/// (asserted in `tests/snapshot_parallel.rs`). `threads` caps the
-/// worker count; 0 means one per available CPU. The device itself is
-/// left in the post-enforcement state.
-pub fn execute_plan_sharded(
+/// Run the segments on `workers` forks of `dev`, each restored to
+/// `snapshot` before every segment it is assigned. Returns the points
+/// in plan order and the summed per-segment device time.
+fn execute_sharded(
     dev: &mut dyn BlockDevice,
     plan: &BenchmarkPlan,
     opts: &SuiteOptions,
-    threads: usize,
-) -> Result<SuiteResult> {
-    execute_plan_sharded_observed(dev, plan, opts, threads, &uflip_obs::SinkHandle::null())
-}
-
-/// Observed [`execute_plan_sharded`]: the sink is attached to the
-/// enforcing device *and* to every worker fork, so counters,
-/// histograms and channel samples aggregate across all segments
-/// (sharded sinks like `uflip_obs::Metrics` are thread-safe by
-/// construction). Per-workload [`uflip_obs::WorkloadMetrics`] deltas
-/// are **not** emitted here — concurrent segments would bleed into
-/// each other's differences; use the serial [`execute_plan_observed`]
-/// when per-workload write amplification matters. The measured
-/// `SuiteResult` stays bit-identical to the serial path's.
-pub fn execute_plan_sharded_observed(
-    dev: &mut dyn BlockDevice,
-    plan: &BenchmarkPlan,
-    opts: &SuiteOptions,
-    threads: usize,
+    segments: &[Range<usize>],
+    snapshot: &dyn DeviceState,
+    workers: usize,
     sink: &uflip_obs::SinkHandle,
-) -> Result<SuiteResult> {
-    let segments = plan_segments(plan);
-    let shardable =
-        opts.enforce_state && opts.snapshot_resets && segments.len() > 1 && dev.snapshot_capable();
-    if !shardable {
-        return execute_plan_observed(dev, plan, opts, sink);
-    }
-    let observed = sink.is_enabled();
-    if observed {
-        dev.set_sink(sink.clone());
-    }
-    let t0 = dev.now();
-    enforce_and_settle(dev, opts)?;
+) -> Result<(Vec<SuitePointResult>, Duration)> {
     let base = dev.now();
-    let snapshot = dev.snapshot_state().ok_or(DeviceError::Internal(
-        "snapshot-capable device returned no snapshot",
-    ))?;
-    let workers = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    }
-    .clamp(1, segments.len());
     // Round-robin segment assignment; results are keyed by segment
     // index, so the merge order never depends on thread scheduling.
     type SegmentOutcome = (usize, Vec<SuitePointResult>, Duration);
@@ -399,15 +383,13 @@ pub fn execute_plan_sharded_observed(
             .map(|w| {
                 // uflip-lint: allow(UF002, UF031, reason = "fork precondition checked by the snapshot_state gate above; no Result plumbing inside thread::scope closures")
                 let mut fork = dev.fork().expect("snapshot_capable devices support fork");
-                if observed {
+                if sink.is_enabled() {
                     fork.set_sink(sink.clone());
                 }
-                let state = snapshot.clone();
-                let segments = &segments;
-                let assigned: Vec<usize> = (w..segments.len()).step_by(workers).collect();
+                let state = snapshot.clone_state();
                 scope.spawn(move || -> Result<Vec<SegmentOutcome>> {
-                    let mut out = Vec::with_capacity(assigned.len());
-                    for seg in assigned {
+                    let mut out = Vec::new();
+                    for seg in (w..segments.len()).step_by(workers) {
                         fork.restore_state(state.as_ref())?;
                         let mut points = Vec::new();
                         execute_steps(
@@ -439,7 +421,7 @@ pub fn execute_plan_sharded_observed(
         }
     }
     let mut points = Vec::new();
-    let mut device_time = base - t0;
+    let mut device_time = Duration::ZERO;
     for seg in by_segment {
         let (p, elapsed) = seg.ok_or(DeviceError::Internal(
             "segment missing from every worker's results",
@@ -447,62 +429,7 @@ pub fn execute_plan_sharded_observed(
         points.extend(p);
         device_time += elapsed;
     }
-    Ok(SuiteResult {
-        points,
-        resets: segments.len() - 1,
-        device_time,
-    })
-}
-
-/// Convenience: build the plan for a device and run the full suite.
-pub fn run_full_suite(
-    dev: &mut dyn BlockDevice,
-    cfg: &MicroConfig,
-    opts: &SuiteOptions,
-) -> Result<(BenchmarkPlan, SuiteResult)> {
-    let plan = BenchmarkPlan::build(full_suite(cfg), dev.capacity_bytes());
-    let result = execute_plan(dev, &plan, opts)?;
-    Ok((plan, result))
-}
-
-/// Convenience: [`run_full_suite`] with an observability sink attached
-/// (see [`execute_plan_observed`]).
-pub fn run_full_suite_observed(
-    dev: &mut dyn BlockDevice,
-    cfg: &MicroConfig,
-    opts: &SuiteOptions,
-    sink: &uflip_obs::SinkHandle,
-) -> Result<(BenchmarkPlan, SuiteResult)> {
-    let plan = BenchmarkPlan::build(full_suite(cfg), dev.capacity_bytes());
-    let result = execute_plan_observed(dev, &plan, opts, sink)?;
-    Ok((plan, result))
-}
-
-/// Convenience: build the plan for a device and run the full suite
-/// with reset-delimited segments sharded across `threads` workers
-/// (0 = one per CPU). See [`execute_plan_sharded`].
-pub fn run_full_suite_sharded(
-    dev: &mut dyn BlockDevice,
-    cfg: &MicroConfig,
-    opts: &SuiteOptions,
-    threads: usize,
-) -> Result<(BenchmarkPlan, SuiteResult)> {
-    run_full_suite_sharded_observed(dev, cfg, opts, threads, &uflip_obs::SinkHandle::null())
-}
-
-/// Convenience: [`run_full_suite_sharded`] with an observability sink
-/// attached (see [`execute_plan_sharded_observed`] for what sharded
-/// execution does and does not record).
-pub fn run_full_suite_sharded_observed(
-    dev: &mut dyn BlockDevice,
-    cfg: &MicroConfig,
-    opts: &SuiteOptions,
-    threads: usize,
-    sink: &uflip_obs::SinkHandle,
-) -> Result<(BenchmarkPlan, SuiteResult)> {
-    let plan = BenchmarkPlan::build(full_suite(cfg), dev.capacity_bytes());
-    let result = execute_plan_sharded_observed(dev, &plan, opts, threads, sink)?;
-    Ok((plan, result))
+    Ok((points, device_time))
 }
 
 #[cfg(test)]
@@ -552,7 +479,8 @@ mod tests {
             enforce_state: false,
             ..Default::default()
         };
-        let (plan, result) = run_full_suite(&mut dev, &cfg, &opts).expect("suite");
+        let plan = BenchmarkPlan::build(full_suite(&cfg), dev.capacity_bytes());
+        let result = execute_plan(&mut dev, &plan, &opts).expect("suite");
         assert_eq!(result.points.len(), plan.run_count());
         assert!(result.points.iter().all(|p| p.stats.is_some()));
         assert!(result.device_time > Duration::ZERO);
@@ -567,7 +495,8 @@ mod tests {
             enforce_state: false,
             ..Default::default()
         };
-        let (_, result) = run_full_suite(&mut dev, &cfg, &opts).expect("suite");
+        let plan = BenchmarkPlan::build(full_suite(&cfg), dev.capacity_bytes());
+        let result = execute_plan(&mut dev, &plan, &opts).expect("suite");
         let series = result.mean_series("granularity/SW");
         assert!(!series.is_empty());
         assert!(series.windows(2).all(|w| w[0].0 <= w[1].0));
@@ -586,8 +515,9 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
+        let plan = BenchmarkPlan::build(full_suite(&cfg), dev.capacity_bytes());
         let before = dev.writes();
-        let _ = run_full_suite(&mut dev, &cfg, &opts).expect("suite");
+        execute_plan(&mut dev, &plan, &opts).expect("suite");
         assert!(
             dev.writes() > before,
             "enforcement + workload writes happened"

@@ -220,12 +220,6 @@ impl DirectIoFile {
             sink_enabled: false,
         })
     }
-
-    /// The embedded threaded queue (e.g. to collect a parked
-    /// asynchronous IO error after a queued run).
-    pub fn threaded_queue_mut(&mut self) -> &mut ThreadedIoQueue {
-        &mut self.queue
-    }
 }
 
 impl BlockDevice for DirectIoFile {

@@ -268,11 +268,6 @@ impl<D: BlockDevice> FaultyDevice<D> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped device.
-    pub fn inner_mut(&mut self) -> &mut D {
-        &mut self.inner
-    }
-
     /// Unwrap into the backend.
     pub fn into_inner(self) -> D {
         self.inner

@@ -230,11 +230,6 @@ impl ChannelTracks {
             }
         }
     }
-
-    /// Time at which every channel is free.
-    pub fn all_free_ns(&self) -> u64 {
-        self.free_ns.iter().copied().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -257,7 +252,7 @@ mod tests {
         let s1 = t.start_ns(0, &b);
         t.occupy(s1, &b);
         assert_eq!((s0, s1), (0, 0), "disjoint channels start together");
-        assert_eq!(t.all_free_ns(), 100);
+        assert_eq!(t.free_ns, [100, 100]);
     }
 
     #[test]
@@ -269,7 +264,7 @@ mod tests {
         let s1 = t.start_ns(10, &a);
         t.occupy(s1, &a);
         assert_eq!(s1, 100, "same channel waits for the first IO");
-        assert_eq!(t.all_free_ns(), 200);
+        assert_eq!(t.free_ns, [200, 0]);
     }
 
     #[test]

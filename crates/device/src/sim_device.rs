@@ -65,15 +65,6 @@ impl ControllerConfig {
         }
     }
 
-    /// USB 2.0 flash-drive-class controller.
-    pub const fn usb2() -> Self {
-        ControllerConfig {
-            per_io_overhead_ns: 120_000,
-            transfer_mb_s: 32,
-            pipelined_transfer: false,
-        }
-    }
-
     /// IDE flash-module-class controller.
     pub const fn ide() -> Self {
         ControllerConfig {
@@ -111,7 +102,7 @@ impl ControllerConfig {
 /// behaviour without a mechanism; we model it as the controller's
 /// LBA-hashing degrading under constant power-of-two strides (a known
 /// failure mode of die-assignment hashing) and calibrate the factor per
-/// profile. See DESIGN.md §4.
+/// profile.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StrideQuirk {
     /// Minimum byte gap between consecutive writes to count as strided.

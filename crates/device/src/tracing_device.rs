@@ -59,12 +59,6 @@ impl<D: BlockDevice> TracingDevice<D> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped device (e.g. to prepare state
-    /// without recording — pair with [`TracingDevice::clear`]).
-    pub fn inner_mut(&mut self) -> &mut D {
-        &mut self.inner
-    }
-
     /// The trace captured so far. Queued IOs that have not been polled
     /// yet still carry `complete_ns == submit_ns`.
     pub fn trace(&self) -> &Trace {

@@ -50,11 +50,6 @@ impl LogicalLayout {
         self.capacity_bytes.div_ceil(self.page_bytes)
     }
 
-    /// Logical block (erase-unit-sized) count.
-    pub fn capacity_blocks(&self) -> u64 {
-        self.capacity_pages().div_ceil(self.pages_per_block)
-    }
-
     /// The inclusive-exclusive logical-page span `[first, last)` touched
     /// by a sector range. A misaligned or sub-page IO touches the pages
     /// it straddles — the mechanism behind the paper's alignment penalty
@@ -65,12 +60,6 @@ impl LogicalLayout {
         let first = lba / spp;
         let last = (lba + sectors as u64).div_ceil(spp);
         (first, last)
-    }
-
-    /// Whether a sector range begins and ends on page boundaries.
-    pub fn page_aligned(&self, lba: u64, sectors: u32) -> bool {
-        let spp = self.sectors_per_page();
-        lba.is_multiple_of(spp) && (sectors as u64).is_multiple_of(spp)
     }
 
     /// Pages that are only *partially* covered by the sector range (0, 1
@@ -87,16 +76,6 @@ impl LogicalLayout {
         } else {
             u64::from(head_partial) + u64::from(tail_partial)
         }
-    }
-
-    /// Logical block containing a logical page.
-    pub fn block_of_page(&self, lpn: u64) -> u64 {
-        lpn / self.pages_per_block
-    }
-
-    /// Offset of a logical page within its block.
-    pub fn page_in_block(&self, lpn: u64) -> u64 {
-        lpn % self.pages_per_block
     }
 }
 
@@ -116,7 +95,6 @@ mod tests {
         assert_eq!(l.sectors_per_page(), 4);
         assert_eq!(l.capacity_sectors(), 2048);
         assert_eq!(l.capacity_pages(), 512);
-        assert_eq!(l.capacity_blocks(), 8);
     }
 
     #[test]
@@ -125,7 +103,6 @@ mod tests {
         // 32 KB at offset 0 = sectors [0, 64) = pages [0, 16)
         let (a, b) = l.page_span(0, 64);
         assert_eq!((a, b), (0, 16));
-        assert!(l.page_aligned(0, 64));
         assert_eq!(l.partial_pages(0, 64), 0);
     }
 
@@ -136,7 +113,6 @@ mod tests {
         // pages instead of 16, with partial head and tail.
         let (a, b) = l.page_span(1, 64);
         assert_eq!((a, b), (0, 17));
-        assert!(!l.page_aligned(1, 64));
         assert_eq!(l.partial_pages(1, 64), 2);
     }
 
@@ -146,7 +122,6 @@ mod tests {
         let (a, b) = l.page_span(0, 1);
         assert_eq!((a, b), (0, 1));
         assert_eq!(l.partial_pages(0, 1), 1);
-        assert!(!l.page_aligned(0, 1));
     }
 
     #[test]
@@ -159,20 +134,9 @@ mod tests {
     }
 
     #[test]
-    fn page_block_decomposition() {
-        let l = layout();
-        assert_eq!(l.block_of_page(0), 0);
-        assert_eq!(l.block_of_page(63), 0);
-        assert_eq!(l.block_of_page(64), 1);
-        assert_eq!(l.page_in_block(64), 0);
-        assert_eq!(l.page_in_block(65), 1);
-    }
-
-    #[test]
     fn full_page_exact_io_has_no_partials() {
         let l = layout();
         // one full page, aligned: sectors [4, 8)
         assert_eq!(l.partial_pages(4, 4), 0);
-        assert!(l.page_aligned(4, 4));
     }
 }

@@ -58,11 +58,6 @@ impl FreePool {
         self.free.is_empty()
     }
 
-    /// Below the low watermark → synchronous reclamation required.
-    pub fn needs_sync_reclaim(&self) -> bool {
-        self.free.len() <= self.low_watermark
-    }
-
     /// Below the high watermark → background reclamation has work to do.
     pub fn wants_background_reclaim(&self) -> bool {
         self.free.len() < self.high_watermark
@@ -101,14 +96,8 @@ mod tests {
     #[test]
     fn watermark_predicates() {
         let mut p = FreePool::new(1, 3);
-        assert!(p.needs_sync_reclaim(), "empty pool is below low watermark");
         p.push(0);
-        assert!(
-            p.needs_sync_reclaim(),
-            "at low watermark still needs reclaim"
-        );
         p.push(1);
-        assert!(!p.needs_sync_reclaim());
         assert!(p.wants_background_reclaim());
         assert_eq!(p.background_deficit(), 1);
         p.push(2);

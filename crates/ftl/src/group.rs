@@ -59,11 +59,6 @@ impl StripeGroups {
         self.chips * self.blocks_per_chip_group * self.pages_per_block
     }
 
-    /// Flash blocks per group (across all chips).
-    pub fn blocks_per_group(&self) -> u32 {
-        self.chips * self.blocks_per_chip_group
-    }
-
     /// Data bytes per group.
     pub fn group_bytes(&self, page_data_bytes: u32) -> u64 {
         self.pages_per_group() as u64 * page_data_bytes as u64
@@ -210,7 +205,6 @@ mod tests {
         let g = groups();
         assert_eq!(g.group_count(), 8);
         assert_eq!(g.pages_per_group(), 32);
-        assert_eq!(g.blocks_per_group(), 4);
         assert_eq!(g.group_bytes(512), 16 * 1024);
     }
 

@@ -276,15 +276,6 @@ impl HybridLogFtl {
         self.groups.pages_per_group()
     }
 
-    /// Bytes covered by the random log pool — the expected locality-area
-    /// knee of Figure 8.
-    pub fn locality_area_bytes(&self) -> u64 {
-        self.cfg.rand_log_groups as u64
-            * self
-                .groups
-                .group_bytes(self.cfg.array.chip.geometry.page_data_bytes)
-    }
-
     fn filled_get(&self, lpn: u64) -> bool {
         self.filled[(lpn / 64) as usize] & (1 << (lpn % 64)) != 0
     }

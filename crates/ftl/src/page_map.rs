@@ -196,7 +196,8 @@ impl PageMapFtl {
     }
 
     /// Total free (pre-erased) blocks across chips.
-    pub fn free_blocks(&self) -> usize {
+    #[cfg(test)]
+    fn free_blocks(&self) -> usize {
         self.pools.iter().map(|p| p.len()).sum()
     }
 

@@ -1,9 +1,7 @@
 //! Host-level and reclamation statistics for FTLs.
 
-use crate::addr::SECTOR_BYTES;
-
-/// Counters exposed by every FTL, used by tests, ablation benches and the
-/// white-box analyses in EXPERIMENTS.md (e.g. write amplification).
+/// Counters exposed by every FTL, used by tests, benches and white-box
+/// analyses such as write amplification.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FtlStats {
     /// Host read requests served.
@@ -38,27 +36,6 @@ impl FtlStats {
         physical_pages_written as f64 / self.logical_pages_written as f64
     }
 
-    /// Logical bytes written by the host (`sectors_written` × 512).
-    pub fn logical_bytes_written(&self) -> u64 {
-        self.sectors_written * SECTOR_BYTES
-    }
-
-    /// Bytes-based write amplification: bytes programmed to flash ÷
-    /// bytes logically written by the host. Unlike the page-based
-    /// [`FtlStats::write_amplification`], this is comparable across
-    /// devices with different page sizes and exposes the overhead of
-    /// sub-page writes (a 512-byte host write that programs a 2 KiB
-    /// page amplifies ×4 in bytes but ×1 in pages). `bytes_programmed`
-    /// comes from the NAND layer:
-    /// `NandStats::physical_pages_written() × page_data_bytes`.
-    pub fn write_amplification_bytes(&self, bytes_programmed: u64) -> f64 {
-        let logical = self.logical_bytes_written();
-        if logical == 0 {
-            return 0.0;
-        }
-        bytes_programmed as f64 / logical as f64
-    }
-
     /// Total merges of any kind.
     pub fn total_merges(&self) -> u64 {
         self.sync_merges + self.async_merges
@@ -82,17 +59,6 @@ mod tests {
     fn write_amplification_of_idle_device_is_zero() {
         let s = FtlStats::default();
         assert_eq!(s.write_amplification(10), 0.0);
-    }
-
-    #[test]
-    fn bytes_based_write_amplification() {
-        let s = FtlStats {
-            sectors_written: 4, // 2048 logical bytes
-            ..Default::default()
-        };
-        assert_eq!(s.logical_bytes_written(), 2048);
-        assert!((s.write_amplification_bytes(8192) - 4.0).abs() < 1e-9);
-        assert_eq!(FtlStats::default().write_amplification_bytes(8192), 0.0);
     }
 
     #[test]

@@ -162,25 +162,6 @@ impl WriteCache {
         out.sort_unstable();
         out
     }
-
-    /// Drain the whole cache (shutdown / explicit flush), sorted.
-    ///
-    /// Drains through the LRU queue rather than iterating the map:
-    /// every dirty page has exactly one live (generation-matching) LRU
-    /// entry, and queue order is insertion order — deterministic by
-    /// structure, with no dependence on hash iteration order.
-    pub fn flush_all(&mut self) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::with_capacity(self.dirty.len());
-        while let Some((lpn, gen)) = self.lru.pop_front() {
-            if self.dirty.get(&lpn) == Some(&gen) {
-                self.dirty.remove(&lpn);
-                out.push(lpn);
-            }
-        }
-        self.dirty.clear();
-        out.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -257,17 +238,6 @@ mod tests {
             (0..8).collect::<Vec<_>>(),
             "destage must sort pages ascending"
         );
-    }
-
-    #[test]
-    fn flush_all_empties_cache() {
-        let mut c = cache(8, true);
-        for lpn in [5, 1, 3] {
-            c.admit(lpn);
-        }
-        assert_eq!(c.flush_all(), vec![1, 3, 5]);
-        assert_eq!(c.dirty_pages(), 0);
-        assert!(c.flush_all().is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! nanosecond/LBA arithmetic. Tests catch regressions after the fact; this
 //! pass pins the invariants down structurally, before any test runs.
 //!
-//! The analyzer is two layers, both dependency-free (no syn, no
+//! The analyzer is three layers, all dependency-free (no syn, no
 //! crates.io) so the whole pass builds in well under a second and can
 //! gate CI ahead of the build proper:
 //!
@@ -16,6 +16,8 @@
 //!    a workspace symbol table and a conservative call graph; rules run
 //!    over reachability from declared sim roots, the lock-order graph
 //!    and error-flow facts.
+//! 3. **Workspace rule** (UF040) — a name count over the whole
+//!    workspace, applied only by [`scan_workspace`].
 //!
 //! # Rules
 //!
@@ -34,6 +36,7 @@
 //! | UF021 | graph | a guard held across a call that may block | no lock convoy / deadlock-by-blocking |
 //! | UF030 | graph | `let _ =` / statement `.ok();` discarding a `Result` in library code | errors are handled or explicitly documented |
 //! | UF031 | graph | a surviving UF002 panic site reachable from a sim root | sim paths stay panic-free even where a file-local allow exists |
+//! | UF040 | workspace | a library `pub fn` whose name no other identifier in the workspace, `tests/`, `examples/` or `benchmark/` spells | no caller-less public API |
 //!
 //! Suppression: `// uflip-lint: allow(UF003, reason = "…")` on the same
 //! line as the finding or the line before it; the item-scoped form
@@ -65,7 +68,7 @@ use std::fmt;
 
 /// Diagnostic codes. `UF000` is the meta-code for malformed or unused
 /// allow markers; `UF001`–`UF006` are the token rules, `UF010`–`UF031`
-/// the graph rules.
+/// the graph rules, `UF040` the workspace rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum Code {
@@ -83,11 +86,12 @@ pub enum Code {
     UF021,
     UF030,
     UF031,
+    UF040,
 }
 
 impl Code {
     /// All rule codes, in order (excluding the meta-code `UF000`).
-    pub const RULES: [Code; 13] = [
+    pub const RULES: [Code; 14] = [
         Code::UF001,
         Code::UF002,
         Code::UF003,
@@ -101,6 +105,7 @@ impl Code {
         Code::UF021,
         Code::UF030,
         Code::UF031,
+        Code::UF040,
     ];
 
     /// The code's canonical `UFxxx` spelling.
@@ -120,6 +125,7 @@ impl Code {
             Code::UF021 => "UF021",
             Code::UF030 => "UF030",
             Code::UF031 => "UF031",
+            Code::UF040 => "UF040",
         }
     }
 
@@ -140,6 +146,7 @@ impl Code {
             "UF021" => Some(Code::UF021),
             "UF030" => Some(Code::UF030),
             "UF031" => Some(Code::UF031),
+            "UF040" => Some(Code::UF040),
             _ => None,
         }
     }
@@ -161,21 +168,8 @@ impl Code {
             Code::UF021 => "lock guard held across a call that may block",
             Code::UF030 => "Result discarded via `let _ =` or `.ok();` in library code",
             Code::UF031 => "allowed panic site reachable from a sim root",
+            Code::UF040 => "library `pub fn` that nothing names",
         }
-    }
-
-    /// Whether this code comes from the call-graph layer.
-    pub fn is_graph_rule(self) -> bool {
-        matches!(
-            self,
-            Code::UF010
-                | Code::UF011
-                | Code::UF012
-                | Code::UF020
-                | Code::UF021
-                | Code::UF030
-                | Code::UF031
-        )
     }
 }
 

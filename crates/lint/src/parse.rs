@@ -236,7 +236,7 @@ pub struct FnItem {
     pub returns_guard: bool,
     /// Function lies in `#[cfg(test)]` / `#[test]` code.
     pub in_test: bool,
-    /// Body facts (filled by [`extract_facts`]).
+    /// Body facts (filled by `extract_facts`).
     pub facts: FnFacts,
 }
 
@@ -325,7 +325,7 @@ fn range_has_ident(toks: &[Token], a: usize, b: usize, name: &str) -> bool {
 }
 
 /// Parse one file into items, fields and traits. Body facts are filled
-/// in the same pass via [`extract_facts`].
+/// in the same pass via `extract_facts`.
 pub fn parse_file(rel: &str, lexed: &Lexed) -> ParsedFile {
     let crate_name = rel
         .strip_prefix("crates/")

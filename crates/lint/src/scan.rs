@@ -2,9 +2,11 @@
 //!
 //! Scanning is multi-phase: every file is lexed, item-parsed and run
 //! through the token rules first; then the workspace call graph is
-//! built over all parsed files and the graph rules run; finally allow
-//! markers (line- and fn-scoped) are matched against the combined
-//! diagnostics and marker hygiene (`UF000`) is enforced.
+//! built over all parsed files and the graph rules run; a workspace
+//! scan then applies UF040 over the identifiers of every scanned and
+//! reference-only file; finally allow markers (line- and fn-scoped)
+//! are matched against the combined diagnostics and marker hygiene
+//! (`UF000`) is enforced.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -14,8 +16,8 @@ use std::path::{Path, PathBuf};
 use crate::allow::{parse_markers, Scope};
 use crate::config::LintConfig;
 use crate::graph;
-use crate::lexer::lex;
-use crate::parse::parse_file;
+use crate::lexer::{lex, Lexed, Token, TokenKind};
+use crate::parse::{parse_file, ParsedFile};
 use crate::reach::run_graph_rules;
 use crate::rules::run_rules;
 use crate::{json_string, Code, Diagnostic};
@@ -26,6 +28,11 @@ const WALL_CLOCK_FILES: &[&str] = &[
     "crates/device/src/direct_io.rs",
     "crates/device/src/threaded_queue.rs",
 ];
+
+/// Reference-only source trees of a workspace scan, besides each
+/// crate's `tests/`: identifiers there count as UF040 callers, but no
+/// rule runs on them.
+const REFERENCE_DIRS: &[&str] = &["tests", "examples", "benchmark/src", "benchmark/tests"];
 
 /// How a file is scoped for rule purposes, derived from its
 /// workspace-relative path.
@@ -136,11 +143,25 @@ impl ScanResult {
 /// workspace: token rules per file, then the call-graph rules across
 /// all of them.
 pub fn scan_sources(sources: &[(String, String)], cfg: &LintConfig) -> ScanResult {
+    scan(sources, None, cfg)
+}
+
+/// [`scan_sources`], plus UF040 when `references` (the reference-only
+/// sources) is given.
+fn scan(
+    sources: &[(String, String)],
+    references: Option<&[(String, String)]>,
+    cfg: &LintConfig,
+) -> ScanResult {
     let mut parsed = Vec::new();
     let mut per_file_markers = Vec::new();
     let mut per_file_bad = Vec::new();
     let mut token_diags: BTreeMap<String, Vec<Diagnostic>> = BTreeMap::new();
     let mut allow_count = 0usize;
+    // UF040 inputs: candidate `pub fn`s by name, and how often each
+    // identifier is spelled anywhere.
+    let mut pub_fns: Vec<(String, Diagnostic)> = Vec::new();
+    let mut ident_counts: BTreeMap<String, usize> = BTreeMap::new();
 
     for (rel, src) in sources {
         let class = FileClass::from_rel_path(rel);
@@ -161,6 +182,12 @@ pub fn scan_sources(sources: &[(String, String)], cfg: &LintConfig) -> ScanResul
                     .filter(|it| it.line > m.line)
                     .min_by_key(|it| it.line)
                     .map(|it| (it.line, it.end_line));
+            }
+        }
+        if references.is_some() {
+            count_idents(&lexed, &mut ident_counts);
+            if !class.is_bin {
+                pub_fns.extend(pub_fn_candidates(rel, &pf, &lexed.tokens));
             }
         }
         token_diags.insert(rel.clone(), diags);
@@ -187,6 +214,18 @@ pub fn scan_sources(sources: &[(String, String)], cfg: &LintConfig) -> ScanResul
     let mut by_file: BTreeMap<String, Vec<Diagnostic>> = token_diags;
     for d in graph_diags {
         by_file.entry(d.path.clone()).or_default().push(d);
+    }
+    if let Some(references) = references {
+        for (_, src) in references {
+            count_idents(&lex(src), &mut ident_counts);
+        }
+        // The definition spells the name once; any other spelling is a
+        // potential caller.
+        for (name, d) in pub_fns {
+            if ident_counts.get(&name) == Some(&1) {
+                by_file.entry(d.path.clone()).or_default().push(d);
+            }
+        }
     }
 
     for (idx, (rel, _)) in sources.iter().enumerate() {
@@ -267,15 +306,14 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 /// Scan the whole workspace: every `.rs` file under `crates/*/src` and
 /// the facade's `src/`, with configuration from `lint.toml` when
 /// present. Vendored shims, tests, benches and examples are out of
-/// scope — the pass guards first-party library and binary sources.
+/// scope for the rules — the pass guards first-party library and binary
+/// sources — but `crates/*/tests/`, `tests/`, `examples/` and
+/// `benchmark/{src,tests}` count as callers for UF040, which only this
+/// scan applies.
 pub fn scan_workspace(root: &Path) -> io::Result<ScanResult> {
     let cfg = LintConfig::load(root).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    scan_workspace_with(root, &cfg)
-}
-
-/// [`scan_workspace`] with an explicit configuration.
-pub fn scan_workspace_with(root: &Path, cfg: &LintConfig) -> io::Result<ScanResult> {
     let mut files = Vec::new();
+    let mut refs = Vec::new();
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         let mut crates: Vec<PathBuf> = fs::read_dir(&crates_dir)?
@@ -284,13 +322,22 @@ pub fn scan_workspace_with(root: &Path, cfg: &LintConfig) -> io::Result<ScanResu
         crates.sort();
         for c in crates {
             collect_rs(&c.join("src"), &mut files)?;
+            collect_rs(&c.join("tests"), &mut refs)?;
         }
     }
     collect_rs(&root.join("src"), &mut files)?;
+    for dir in REFERENCE_DIRS {
+        collect_rs(&root.join(dir), &mut refs)?;
+    }
     files.sort();
+    let sources = read_sources(root, &files)?;
+    Ok(scan(&sources, Some(&read_sources(root, &refs)?), &cfg))
+}
 
+/// Read each file as a `(workspace-relative path, source text)` pair.
+fn read_sources(root: &Path, files: &[PathBuf]) -> io::Result<Vec<(String, String)>> {
     let mut sources = Vec::with_capacity(files.len());
-    for f in &files {
+    for f in files {
         let src = fs::read_to_string(f)?;
         let rel = f
             .strip_prefix(root)
@@ -299,7 +346,58 @@ pub fn scan_workspace_with(root: &Path, cfg: &LintConfig) -> io::Result<ScanResu
             .replace('\\', "/");
         sources.push((rel, src));
     }
-    Ok(scan_sources(&sources, cfg))
+    Ok(sources)
+}
+
+/// Add every identifier token of `lexed` to `counts`.
+fn count_idents(lexed: &Lexed, counts: &mut BTreeMap<String, usize>) {
+    for t in &lexed.tokens {
+        if t.kind == TokenKind::Ident {
+            *counts.entry(t.text.clone()).or_default() += 1;
+        }
+    }
+}
+
+/// UF040 candidates of one library file: every plain `pub fn` outside
+/// test code, keyed by name, as the diagnostic to report if nothing
+/// else spells that name. Trait definitions and impls never qualify:
+/// their methods cannot be declared `pub`.
+fn pub_fn_candidates(rel: &str, pf: &ParsedFile, toks: &[Token]) -> Vec<(String, Diagnostic)> {
+    pf.items
+        .iter()
+        .filter(|it| !it.in_test && is_plain_pub(toks, it.sig.0))
+        .map(|it| {
+            let d = Diagnostic {
+                code: Code::UF040,
+                path: rel.to_string(),
+                line: it.line,
+                col: toks.get(it.sig.0 + 1).map_or(1, |t| t.col),
+                message: format!(
+                    "`pub fn {}` is named nowhere else in the workspace, tests/, examples/ \
+                     or benchmark/ — delete it, or narrow it to the crate or #[cfg(test)]",
+                    it.display
+                ),
+                suppressed: None,
+            };
+            (it.name.clone(), d)
+        })
+        .collect()
+}
+
+/// Whether the `fn` token at `at` is declared plain `pub` (not
+/// `pub(crate)` and the like), looking past `const`/`async`/`unsafe`/
+/// `extern "ABI"` qualifiers.
+fn is_plain_pub(toks: &[Token], at: usize) -> bool {
+    for t in toks[..at.min(toks.len())].iter().rev() {
+        match t.kind {
+            TokenKind::Ident
+                if matches!(t.text.as_str(), "const" | "async" | "unsafe" | "extern") => {}
+            TokenKind::Str => {}
+            TokenKind::Ident => return t.text == "pub",
+            _ => return false,
+        }
+    }
+    false
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

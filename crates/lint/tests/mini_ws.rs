@@ -2,7 +2,8 @@
 //! `engine` (sim roots) → `model` (free fns) → nothing, plus `hw`
 //! (methods and an `Ftl` trait impl). Asserts the exact edge set, the
 //! reachability partition and the root-path reconstruction that the
-//! UF01x/UF03x messages rely on.
+//! UF01x/UF03x messages rely on. A second mini workspace, written to
+//! disk, pins what UF040 counts as a caller.
 
 use uflip_lint::config::LintConfig;
 use uflip_lint::graph::{self, Graph};
@@ -188,4 +189,75 @@ fn scan_sources_runs_graph_rules_across_crates() {
         "message shows the cross-crate chain: {}",
         uf010[0].message
     );
+}
+
+/// A library crate for UF040: `orphan` is spelled only by its own
+/// definition (the doc link and the string literal are not callers);
+/// `kept_by_example` has one caller, in `examples/`; the trait-impl
+/// method, the crate-visible fn and the test helper never qualify.
+const UF040_LIB: &str = "\
+/// Unlike [`orphan`], this one has a caller.
+pub fn kept_by_example() -> &'static str {
+    \"orphan\"
+}
+
+pub fn orphan() {}
+
+pub(crate) fn crate_only() {}
+
+pub struct Device;
+
+impl Drop for Device {
+    fn drop(&mut self) {}
+}
+
+#[cfg(test)]
+mod tests {
+    pub fn test_helper() {}
+}
+";
+
+/// The only caller of `kept_by_example`. Its `unwrap` would be a UF002
+/// finding if rules ran on reference-only sources.
+const UF040_EXAMPLE: &str = "\
+fn main() {
+    let s = uflip_model::kept_by_example();
+    println!(\"{}\", s.parse::<u8>().unwrap());
+}
+";
+
+#[test]
+fn uf040_flags_pub_fns_nothing_names_on_workspace_scans_only() {
+    let root = std::env::temp_dir().join(format!("uflip-lint-uf040-{}", std::process::id()));
+    for (rel, src) in [
+        ("crates/model/src/lib.rs", UF040_LIB),
+        ("examples/demo.rs", UF040_EXAMPLE),
+    ] {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().expect("has a parent")).expect("mkdir");
+        std::fs::write(path, src).expect("write source");
+    }
+    let result = uflip_lint::scan_workspace(&root).expect("scan the mini workspace");
+    std::fs::remove_dir_all(&root).expect("remove the mini workspace");
+
+    let found: Vec<(&str, usize)> = result
+        .diagnostics
+        .iter()
+        .map(|d| (d.path.as_str(), d.line))
+        .collect();
+    assert_eq!(
+        found,
+        vec![("crates/model/src/lib.rs", 6)],
+        "only `orphan` is flagged, and nothing in examples/: {:?}",
+        result.diagnostics
+    );
+    assert_eq!(result.diagnostics[0].code, Code::UF040);
+    assert_eq!(result.files_scanned, 1, "examples/ is reference-only");
+
+    // A single-file scan never applies the workspace rule.
+    let single = scan_sources(
+        &[("crates/model/src/lib.rs".to_string(), UF040_LIB.to_string())],
+        &LintConfig::default(),
+    );
+    assert!(single.diagnostics.is_empty(), "{:?}", single.diagnostics);
 }

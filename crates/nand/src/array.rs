@@ -187,14 +187,6 @@ impl NandArray {
         })
     }
 
-    /// Mutable access to a chip (for direct protocol-level tests).
-    pub fn chip_mut(&mut self, i: u32) -> Result<&mut Chip> {
-        let chips = self.config.chips;
-        self.chips
-            .get_mut(i as usize)
-            .ok_or(NandError::ChipOutOfRange { chip: i, chips })
-    }
-
     /// Aggregate stats across chips.
     pub fn stats(&self) -> crate::stats::NandStats {
         let mut total = crate::stats::NandStats::default();
@@ -336,30 +328,6 @@ impl NandArray {
         let ch = self.channel_of_chip(op.chip()) as usize;
         let ns = self.execute_one(op)?;
         self.channel_busy[ch] += ns;
-        Ok(())
-    }
-
-    /// Stream a bulk page-read run (see [`Chip::read_run`]): `n`
-    /// consecutive pages of one block on one chip, charged to the
-    /// chip's channel exactly as `n` individual
-    /// [`stream_op`](Self::stream_op) reads would be.
-    pub fn stream_read_run(&mut self, chip: u32, block: u32, first: u32, n: u32) -> Result<()> {
-        if chip >= self.config.chips {
-            return Err(NandError::ChipOutOfRange {
-                chip,
-                chips: self.config.chips,
-            });
-        }
-        let ch = self.channel_of_chip(chip) as usize;
-        let ns = self.chips[chip as usize].read_run(block, first, n)?;
-        self.channel_busy[ch] += ns;
-        if self.sink_enabled {
-            self.sink.add(CounterId::PageReads, u64::from(n));
-            self.sink.add(
-                CounterId::ReadBytes,
-                u64::from(n) * u64::from(self.config.chip.geometry.page_data_bytes),
-            );
-        }
         Ok(())
     }
 

@@ -177,7 +177,8 @@ impl Chip {
     }
 
     /// State of one page.
-    pub fn page_state(&self, addr: PageAddr) -> Result<PageState> {
+    #[cfg(test)]
+    fn page_state(&self, addr: PageAddr) -> Result<PageState> {
         self.check_page(addr)?;
         Ok(self.state[self.flat(addr)])
     }
@@ -269,38 +270,13 @@ impl Chip {
         Ok(ns)
     }
 
-    /// Read `n` consecutive pages of one block, starting at `first`.
-    ///
-    /// Exactly equivalent to `n` [`read_page`](Self::read_page) calls
-    /// (no data out): same checks, same counters, same total busy time
-    /// `n × tR` — but validated once and accounted once, which is what
-    /// lets FTL garbage collection relocate whole blocks without paying
-    /// per-page dispatch. Returns the total busy time.
-    pub fn read_run(&mut self, block: u32, first: u32, n: u32) -> Result<u64> {
-        if n == 0 {
-            return Ok(0);
-        }
-        self.check_page(PageAddr {
-            chip: 0,
-            block,
-            page: first + n - 1,
-        })?;
-        if self.wear.is_bad(block) {
-            return Err(NandError::BadBlock(BlockAddr { chip: 0, block }));
-        }
-        let ns = self.read_total_ns * u64::from(n);
-        self.stats.page_reads += u64::from(n);
-        self.stats.busy_ns += ns;
-        Ok(ns)
-    }
-
     /// Account `n` page reads at scattered, pre-validated addresses.
     ///
-    /// The accounting twin of [`read_run`](Self::read_run) for reads
-    /// that do not form a contiguous run: same counters, same total
-    /// busy time `n × tR`, but no address checks — the caller vouches
-    /// that every address was obtained from a live mapping (an FTL log
-    /// or data map), which it must for the read to mean anything.
+    /// Same counters and total busy time `n × tR` as `n`
+    /// [`read_page`](Self::read_page) calls, but no address checks —
+    /// the caller vouches that every address was obtained from a live
+    /// mapping (an FTL log or data map), which it must for the read to
+    /// mean anything.
     /// Returns the total busy time.
     pub fn read_tally(&mut self, n: u32) -> u64 {
         let ns = self.read_total_ns * u64::from(n);

@@ -89,16 +89,6 @@ impl NandGeometry {
     pub const fn plane_of_block(&self, block: u32) -> u32 {
         block % self.planes_per_chip
     }
-
-    /// Validate primitive fields (all non-zero). Returns `self` for
-    /// chaining in builder-style construction.
-    pub fn validated(self) -> Option<Self> {
-        let ok = self.page_data_bytes > 0
-            && self.pages_per_block > 0
-            && self.blocks_per_plane > 0
-            && self.planes_per_chip > 0;
-        ok.then_some(self)
-    }
 }
 
 /// Address of a flash block on a specific chip.
@@ -205,14 +195,6 @@ mod tests {
             }
         }
         assert_eq!(seen.len() as u64, g.pages_per_chip());
-    }
-
-    #[test]
-    fn validation_rejects_zero_fields() {
-        let mut g = NandGeometry::tiny();
-        g.pages_per_block = 0;
-        assert!(g.validated().is_none());
-        assert!(NandGeometry::tiny().validated().is_some());
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl NandOp {
             NandOp::DualPlaneErase(a, _) => a.chip,
         }
     }
-
-    /// True if the operation mutates chip state.
-    pub fn is_mutation(&self) -> bool {
-        !matches!(self, NandOp::ReadPage(_))
-    }
 }
 
 #[cfg(test)]
@@ -84,12 +79,5 @@ mod tests {
             .chip(),
             5
         );
-    }
-
-    #[test]
-    fn mutation_classification() {
-        assert!(!NandOp::ReadPage(p(0)).is_mutation());
-        assert!(NandOp::ProgramPage(p(0)).is_mutation());
-        assert!(NandOp::EraseBlock(BlockAddr { chip: 0, block: 0 }).is_mutation());
     }
 }

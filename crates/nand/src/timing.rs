@@ -60,18 +60,6 @@ impl NandTiming {
         }
     }
 
-    /// Zero-latency timing for logic-only tests (protocol checks without
-    /// caring about simulated time).
-    pub const fn zero() -> Self {
-        NandTiming {
-            read_page_ns: 0,
-            program_page_ns: 0,
-            erase_block_ns: 0,
-            bus_ns_per_byte: 0,
-            cmd_overhead_ns: 0,
-        }
-    }
-
     /// Total time to read one page of `data_bytes` including bus-out.
     pub const fn page_read_total_ns(&self, data_bytes: u32) -> u64 {
         self.cmd_overhead_ns + self.read_page_ns + self.bus_ns_per_byte * data_bytes as u64

@@ -40,11 +40,6 @@ impl WearState {
         !self.bad[i]
     }
 
-    /// Mark a block bad out-of-band (factory bad block or ECC failure).
-    pub fn mark_bad(&mut self, block: u32) {
-        self.bad[block as usize] = true;
-    }
-
     /// Whether a block is bad.
     pub fn is_bad(&self, block: u32) -> bool {
         self.bad[block as usize]
@@ -53,38 +48,6 @@ impl WearState {
     /// Erase cycles endured so far by `block`.
     pub fn cycles(&self, block: u32) -> u32 {
         self.cycles[block as usize]
-    }
-
-    /// Endurance limit configured for this chip.
-    pub fn limit(&self) -> u32 {
-        self.limit
-    }
-
-    /// Number of bad blocks.
-    pub fn bad_count(&self) -> usize {
-        self.bad.iter().filter(|&&b| b).count()
-    }
-
-    /// Maximum erase count across blocks (wear-leveling quality metric).
-    pub fn max_cycles(&self) -> u32 {
-        self.cycles.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Minimum erase count across *good* blocks.
-    pub fn min_cycles_good(&self) -> u32 {
-        self.cycles
-            .iter()
-            .zip(self.bad.iter())
-            .filter(|(_, &bad)| !bad)
-            .map(|(&c, _)| c)
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Wear imbalance: max − min over good blocks. A perfect wear
-    /// leveler keeps this within a small constant.
-    pub fn imbalance(&self) -> u32 {
-        self.max_cycles().saturating_sub(self.min_cycles_good())
     }
 }
 
@@ -100,29 +63,6 @@ mod tests {
         assert!(!w.record_erase(0), "third erase reaches the limit of 3");
         assert!(w.is_bad(0));
         assert!(!w.is_bad(1));
-        assert_eq!(w.bad_count(), 1);
-    }
-
-    #[test]
-    fn imbalance_tracks_spread_over_good_blocks() {
-        let mut w = WearState::new(3, 100);
-        for _ in 0..10 {
-            w.record_erase(0);
-        }
-        w.record_erase(1);
-        assert_eq!(w.max_cycles(), 10);
-        assert_eq!(w.min_cycles_good(), 0, "block 2 never erased");
-        assert_eq!(w.imbalance(), 10);
-    }
-
-    #[test]
-    fn marked_bad_blocks_are_excluded_from_min() {
-        let mut w = WearState::new(2, 100);
-        for _ in 0..5 {
-            w.record_erase(0);
-        }
-        w.mark_bad(1);
-        assert_eq!(w.min_cycles_good(), 5, "bad block 1 (0 cycles) excluded");
     }
 
     #[test]

@@ -89,7 +89,8 @@ impl ChannelUtilization {
     }
 
     /// Total busy time of one channel.
-    pub fn total_busy_ns(&self, channel: usize) -> u64 {
+    #[cfg(test)]
+    fn total_busy_ns(&self, channel: usize) -> u64 {
         self.channels
             .get(channel)
             .map_or(0, |bins| bins.iter().sum())

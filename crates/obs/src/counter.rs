@@ -147,11 +147,6 @@ impl CounterId {
             CounterId::PowerLossEvents => "power_loss_events",
         }
     }
-
-    /// Inverse of [`CounterId::name`], for reading snapshots back.
-    pub fn from_name(name: &str) -> Option<CounterId> {
-        CounterId::ALL.into_iter().find(|id| id.name() == name)
-    }
 }
 
 /// Number of independent shards. Power of two; small enough that
@@ -290,7 +285,9 @@ mod tests {
     fn dense_discriminants_match_all_order() {
         for (i, id) in CounterId::ALL.into_iter().enumerate() {
             assert_eq!(id as usize, i, "{id:?} out of order");
-            assert_eq!(CounterId::from_name(id.name()), Some(id));
+            // Names are unique: snapshots key counters by name.
+            let by_name = CounterId::ALL.into_iter().find(|c| c.name() == id.name());
+            assert_eq!(by_name, Some(id));
         }
     }
 

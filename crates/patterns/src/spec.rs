@@ -34,10 +34,6 @@ pub struct PatternSpec {
     pub seed: u64,
 }
 
-/// 32 KB — the IO size the paper settles on for all non-Granularity
-/// experiments (Hint 2).
-pub const DEFAULT_IO_SIZE: u64 = 32 * 1024;
-
 impl PatternSpec {
     /// The four baseline patterns (paper §3.1): consecutive timing,
     /// constant size, sequential/random location, read/write mode.

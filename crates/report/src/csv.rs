@@ -35,15 +35,6 @@ fn write_row(out: &mut String, fields: impl Iterator<Item = String>) {
     out.push('\n');
 }
 
-/// A `(param, mean_ms)` series as CSV.
-pub fn series_csv(param_name: &str, series: &[(f64, f64)]) -> String {
-    let rows: Vec<Vec<String>> = series
-        .iter()
-        .map(|(x, y)| vec![format!("{x}"), format!("{y}")])
-        .collect();
-    to_csv(&[param_name, "mean_ms"], &rows)
-}
-
 /// A full IO-trace dump as CSV: one row per [`uflip_trace::Trace`]
 /// record with its location, size and measured timing — the
 /// machine-readable companion of a capture, written by the
@@ -103,14 +94,6 @@ mod tests {
         assert!(csv.contains("\"has,comma\""));
         assert!(csv.contains("\"has\"\"quote\""));
         assert!(csv.contains("plain\n"));
-    }
-
-    #[test]
-    fn series_shape() {
-        let csv = series_csv("IOSize", &[(512.0, 0.5), (1024.0, 0.7)]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "IOSize,mean_ms");
-        assert_eq!(lines.len(), 3);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use serde::Serialize;
 use std::path::Path;
-use uflip_core::RunResult;
 
 /// Serialize any result to pretty JSON.
 pub fn to_json<T: Serialize>(value: &T) -> String {
@@ -18,58 +17,9 @@ pub fn write_json<T: Serialize>(value: &T, path: &Path) -> std::io::Result<()> {
     std::fs::write(path, to_json(value))
 }
 
-/// Compact per-run record for archival (label, count, mean/max in ms) —
-/// the shape uflip.org's result tables used.
-#[derive(Debug, Serialize)]
-pub struct RunRecord {
-    /// Pattern label.
-    pub label: String,
-    /// IO count.
-    pub count: usize,
-    /// Mean ms over the running phase.
-    pub mean_ms: f64,
-    /// Min ms.
-    pub min_ms: f64,
-    /// Max ms.
-    pub max_ms: f64,
-    /// Standard deviation ms.
-    pub stddev_ms: f64,
-}
-
-impl RunRecord {
-    /// Summarize a run (running phase only).
-    pub fn from_run(run: &RunResult) -> Option<RunRecord> {
-        let s = run.summary()?;
-        Some(RunRecord {
-            label: run.label.clone(),
-            count: s.count as usize,
-            mean_ms: s.mean.as_secs_f64() * 1e3,
-            min_ms: s.min.as_secs_f64() * 1e3,
-            max_ms: s.max.as_secs_f64() * 1e3,
-            stddev_ms: s.stddev.as_secs_f64() * 1e3,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn run_record_round_trips_through_json() {
-        let run = RunResult::new(
-            "RW",
-            vec![Duration::from_millis(2), Duration::from_millis(4)],
-            0,
-            Duration::from_millis(6),
-        );
-        let rec = RunRecord::from_run(&run).unwrap();
-        assert_eq!(rec.count, 2);
-        assert!((rec.mean_ms - 3.0).abs() < 1e-9);
-        let json = to_json(&rec);
-        assert!(json.contains("\"label\": \"RW\""));
-    }
 
     #[test]
     fn write_json_creates_directories() {

@@ -11,8 +11,8 @@
 //! 6. the Order patterns: reverse, in-place, and large increments
 //!    (columns 8–10).
 //!
-//! Every derived number states *how* it was derived so EXPERIMENTS.md
-//! can compare against the paper cell by cell.
+//! Every derived number states *how* it was derived, so it can be
+//! compared against the paper's Table 3 cell by cell.
 
 use crate::locality::{locality_knee, LocalityKnee};
 use crate::partition::{partition_limit, PartitionLimit};

@@ -143,11 +143,6 @@ impl Trace {
         std::fs::write(path, self.to_binary())?;
         Ok(())
     }
-
-    /// Read a binary trace file.
-    pub fn load_binary(path: &Path) -> Result<Self> {
-        Self::from_binary(&std::fs::read(path)?)
-    }
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -273,7 +268,10 @@ mod tests {
         let path = dir.join("t.bin");
         let t = sample();
         t.save_binary(&path).unwrap();
-        assert_eq!(Trace::load_binary(&path).unwrap(), t);
+        assert_eq!(
+            Trace::from_binary(&std::fs::read(&path).unwrap()).unwrap(),
+            t
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 

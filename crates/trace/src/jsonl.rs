@@ -94,11 +94,6 @@ impl Trace {
         std::fs::write(path, self.to_jsonl())?;
         Ok(())
     }
-
-    /// Read a JSONL trace file.
-    pub fn load_jsonl(path: &Path) -> Result<Self> {
-        Self::from_jsonl(&std::fs::read_to_string(path)?)
-    }
 }
 
 #[cfg(test)]
@@ -160,7 +155,8 @@ mod tests {
         let path = dir.join("nested/t.jsonl");
         let t = sample();
         t.save_jsonl(&path).unwrap();
-        assert_eq!(Trace::load_jsonl(&path).unwrap(), t);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(Trace::from_jsonl(&text).unwrap(), t);
         let _ = std::fs::remove_dir_all(dir);
     }
 }

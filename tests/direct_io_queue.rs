@@ -95,7 +95,7 @@ fn payload_sized_ios_round_trip() {
     }
     assert_eq!(polled, sizes.len());
     // A clean pass leaves no parked error behind.
-    assert!(dev.threaded_queue_mut().take_error().is_none());
+    assert!(dev.take_async_error().is_none());
     let _ = std::fs::remove_file(path);
 }
 

@@ -9,9 +9,10 @@ use std::time::Duration;
 use uflip::core::executor::{
     execute_parallel, execute_parallel_with_policy, execute_run, execute_run_with_policy,
 };
+use uflip::core::methodology::plan::BenchmarkPlan;
 use uflip::core::micro::MicroConfig;
 use uflip::core::replay::{replay_trace_with_policy, ReplayMode};
-use uflip::core::{run_full_suite_observed, IoPolicy, RunStats, SuiteOptions};
+use uflip::core::{execute_plan_observed, full_suite, IoPolicy, RunStats, SuiteOptions};
 use uflip::device::profiles::catalog;
 use uflip::device::BlockDevice;
 use uflip::ftl::SECTOR_BYTES;
@@ -100,7 +101,8 @@ fn suite_counters_reconcile_with_device_ground_truth() {
     };
     let mut dev = catalog::mtron().build_sim(0xF11B);
     let (metrics, sink) = Metrics::shared();
-    let (_plan, result) = run_full_suite_observed(dev.as_mut(), &cfg, &opts, &sink).expect("suite");
+    let plan = BenchmarkPlan::build(full_suite(&cfg), dev.capacity_bytes());
+    let result = execute_plan_observed(dev.as_mut(), &plan, &opts, &sink).expect("suite");
 
     let nand = dev.ftl().nand_stats();
     assert_eq!(metrics.counter(CounterId::PageReads), nand.page_reads);
@@ -146,6 +148,39 @@ fn suite_counters_reconcile_with_device_ground_truth() {
     .sum();
     assert_eq!(recorded, measured);
     assert!(measured > 0, "suite measured nothing");
+}
+
+/// A plan sharded over two workers feeds the sink the same counters
+/// and latencies as the serial run and measures the same result; only
+/// the serial run emits a per-run workload record.
+#[test]
+fn sharded_plan_observes_what_the_serial_plan_observes() {
+    let profile = catalog::transcend_module();
+    let mut cfg = MicroConfig::quick();
+    cfg.io_count = 12;
+    cfg.io_count_rw = 12;
+    // Every second sequential-write point exhausts the device: resets.
+    cfg.target_size = profile.sim_capacity_bytes() / 2 + MB;
+    let run = |threads| {
+        let mut dev = profile.build_sim(11);
+        let plan = BenchmarkPlan::build(full_suite(&cfg), dev.capacity_bytes());
+        let opts = SuiteOptions {
+            state_coverage: 0.5,
+            threads,
+            ..SuiteOptions::default()
+        };
+        let (metrics, sink) = Metrics::shared();
+        let result = execute_plan_observed(dev.as_mut(), &plan, &opts, &sink).expect("suite");
+        (plan.run_count(), result, metrics.snapshot())
+    };
+    let (runs, serial, serial_obs) = run(1);
+    let (_, sharded, sharded_obs) = run(2);
+    assert!(serial.resets >= 2, "plan must exercise resets");
+    assert_eq!(serial, sharded);
+    assert_eq!(serial_obs.counters, sharded_obs.counters);
+    assert_eq!(serial_obs.latency, sharded_obs.latency);
+    assert_eq!(serial_obs.workloads.len(), runs);
+    assert!(sharded_obs.workloads.is_empty());
 }
 
 /// Attaching a *recording* sink must not shift a single simulated

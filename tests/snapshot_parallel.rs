@@ -14,8 +14,9 @@
 
 use proptest::prelude::*;
 use std::time::Duration;
+use uflip::core::methodology::plan::BenchmarkPlan;
 use uflip::core::micro::MicroConfig;
-use uflip::core::suite::{run_full_suite, run_full_suite_sharded, SuiteOptions};
+use uflip::core::suite::{execute_plan, full_suite, SuiteOptions, SuiteResult};
 use uflip::device::profiles::catalog;
 use uflip::device::{BlockDevice, ControllerConfig, MemDevice, SimDevice};
 use uflip::ftl::{PageMapConfig, PageMapFtl};
@@ -255,6 +256,18 @@ fn suite_opts() -> SuiteOptions {
     }
 }
 
+/// Build the full-suite plan for `dev` and run it on `threads` workers.
+fn run_suite(
+    dev: &mut dyn BlockDevice,
+    cfg: &MicroConfig,
+    opts: &SuiteOptions,
+    threads: usize,
+) -> uflip::core::Result<(BenchmarkPlan, SuiteResult)> {
+    let plan = BenchmarkPlan::build(full_suite(cfg), dev.capacity_bytes());
+    let result = execute_plan(dev, &plan, &SuiteOptions { threads, ..*opts })?;
+    Ok((plan, result))
+}
+
 #[test]
 fn sharded_plan_is_bit_identical_to_serial_on_mem_device() {
     // target_size > capacity/2: every second sequential-write point
@@ -262,12 +275,11 @@ fn sharded_plan_is_bit_identical_to_serial_on_mem_device() {
     let cfg = quick_cfg(5 * MB);
     let mk = || MemDevice::new(8 * MB, Duration::from_micros(40), 1);
     let mut serial_dev = mk();
-    let (plan, serial) = run_full_suite(&mut serial_dev, &cfg, &suite_opts()).expect("serial");
+    let (plan, serial) = run_suite(&mut serial_dev, &cfg, &suite_opts(), 1).expect("serial");
     assert!(serial.resets >= 2, "plan must exercise resets: {plan:?}");
     for threads in [1, 3, 0] {
         let mut dev = mk();
-        let (_, sharded) =
-            run_full_suite_sharded(&mut dev, &cfg, &suite_opts(), threads).expect("sharded");
+        let (_, sharded) = run_suite(&mut dev, &cfg, &suite_opts(), threads).expect("sharded");
         assert_eq!(serial, sharded, "threads={threads}");
     }
 }
@@ -277,11 +289,10 @@ fn sharded_plan_is_bit_identical_to_serial_on_sim_device() {
     let profile = catalog::transcend_module();
     let cfg = quick_cfg(profile.sim_capacity_bytes() / 2 + MB);
     let mut serial_dev = profile.build_sim(11);
-    let (_, serial) = run_full_suite(serial_dev.as_mut(), &cfg, &suite_opts()).expect("serial");
+    let (_, serial) = run_suite(serial_dev.as_mut(), &cfg, &suite_opts(), 1).expect("serial");
     assert!(serial.resets >= 2, "plan must exercise resets");
     let mut dev = profile.build_sim(11);
-    let (_, sharded) =
-        run_full_suite_sharded(dev.as_mut(), &cfg, &suite_opts(), 4).expect("sharded");
+    let (_, sharded) = run_suite(dev.as_mut(), &cfg, &suite_opts(), 4).expect("sharded");
     assert_eq!(serial.resets, sharded.resets);
     assert_eq!(serial.device_time, sharded.device_time);
     assert_eq!(serial.points.len(), sharded.points.len());
@@ -300,8 +311,8 @@ fn sharded_plan_falls_back_when_snapshots_are_off() {
     let mk = || MemDevice::new(8 * MB, Duration::from_micros(40), 1);
     let mut a = mk();
     let mut b = mk();
-    let (_, serial) = run_full_suite(&mut a, &cfg, &opts).expect("serial");
-    let (_, sharded) = run_full_suite_sharded(&mut b, &cfg, &opts, 4).expect("fallback");
+    let (_, serial) = run_suite(&mut a, &cfg, &opts, 1).expect("serial");
+    let (_, sharded) = run_suite(&mut b, &cfg, &opts, 4).expect("fallback");
     // Both re-enforce at every reset (the paper-literal path).
     assert_eq!(serial, sharded);
 }
@@ -314,13 +325,13 @@ fn snapshot_resets_skip_reenforcement_device_work() {
     let cfg = quick_cfg(5 * MB);
     let mk = || MemDevice::new(8 * MB, Duration::from_micros(40), 1);
     let mut snap_dev = mk();
-    let (_, with_snap) = run_full_suite(&mut snap_dev, &cfg, &suite_opts()).expect("snap");
+    let (_, with_snap) = run_suite(&mut snap_dev, &cfg, &suite_opts(), 1).expect("snap");
     let mut legacy_dev = mk();
     let legacy_opts = SuiteOptions {
         snapshot_resets: false,
         ..suite_opts()
     };
-    let (_, legacy) = run_full_suite(&mut legacy_dev, &cfg, &legacy_opts).expect("legacy");
+    let (_, legacy) = run_suite(&mut legacy_dev, &cfg, &legacy_opts, 1).expect("legacy");
     assert!(with_snap.resets >= 2);
     assert_eq!(with_snap.resets, legacy.resets);
     assert!(
