@@ -26,8 +26,8 @@
 //! Simulated suites run with snapshot-served state resets and their
 //! reset-delimited plan segments sharded across worker threads
 //! (`--threads N`, 0 = one per CPU, the default; `--threads 1` runs
-//! the plan serially and records per-run workload metrics); results
-//! are bit-identical to the serial run. `--device all` additionally
+//! the plan serially); results and the `--metrics` snapshot are
+//! bit-identical to the serial run's. `--device all` additionally
 //! fans the representative profiles out across threads, one suite per
 //! device.
 
@@ -45,7 +45,7 @@ use uflip_core::Experiment;
 use uflip_core::IoPolicy;
 use uflip_device::profiles::catalog;
 use uflip_device::BlockDevice;
-use uflip_obs::{CounterId, Metrics, ObsSink, SinkHandle};
+use uflip_obs::{CounterId, Metrics, SinkHandle};
 use uflip_patterns::PatternSpec;
 use uflip_report::csv::to_csv;
 use uflip_report::wear::WearReport;

@@ -44,10 +44,12 @@
 //!   match).
 //! * `--metrics PATH` — record a `uflip_obs` metrics snapshot (latency
 //!   histograms, counters, channel utilization) across the measured
-//!   workloads. Without it the timed regions run with the no-op sink,
-//!   whose cost is a cached boolean test — fingerprints and the gate
-//!   are unaffected. Recording does not perturb fingerprints either:
-//!   they hash *simulated* nanoseconds, not wall time.
+//!   workloads. Without it the timed regions run with the null handle,
+//!   whose cost is one null check per event site — fingerprints and
+//!   the gate are unaffected. Recording does not perturb fingerprints
+//!   either: they hash *simulated* nanoseconds, not wall time (CI runs
+//!   `--quick --baseline BENCH_sim_quick.json` both with and without
+//!   `--metrics`).
 //!
 //! `BENCH_sim_baseline.json` archives the pre-rewrite executor's
 //! numbers and fingerprints; `BENCH_sim.json` is the current record.
@@ -334,8 +336,8 @@ fn geomean(vals: impl Iterator<Item = f64>) -> f64 {
 
 fn main() {
     let cli = parse();
-    // Default: the no-op null sink — the timed regions then carry only
-    // the cached-bool guards, keeping fingerprints identical to an
+    // Default: the null sink — the timed regions then carry only one
+    // null check per event site, keeping fingerprints identical to an
     // uninstrumented tree (the --check gate runs this way).
     let (metrics_out, sink) = uflip_bench::metrics_sink(cli.metrics.as_deref());
     let devices = match cli.device.as_deref() {

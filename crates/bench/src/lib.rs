@@ -29,7 +29,7 @@ pub struct HarnessOptions {
     /// Write a `uflip_obs::MetricsSnapshot` JSON document here after
     /// the run (`--metrics PATH`): counters, latency histograms,
     /// channel utilization, per-workload write amplification. Without
-    /// the flag the stack runs with the no-op sink — bit-identical
+    /// the flag the stack runs with the null handle — bit-identical
     /// timing, no recording.
     pub metrics: Option<PathBuf>,
     /// Fault-injection plan (`--faults PLAN.json`): a serialized

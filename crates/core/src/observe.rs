@@ -12,12 +12,12 @@
 //!
 //! A null sink skips the bracket: it is never attached, so it cannot
 //! detach a sink the caller attached to the device, and a run pays one
-//! `is_enabled()` test for it — zero per IO (the per-IO guards live in
-//! the instrumented layers and are cached `bool`s). Response times
-//! recorded here are exactly the ones the run's [`crate::RunStats`]
-//! summarizes — the running phase, after the `io_ignore` warm-up
-//! prefix — so histogram quantiles and exact percentiles describe the
-//! same population.
+//! `is_enabled()` test for it — zero per IO (the per-IO cost lives in
+//! the instrumented layers: one null check on the handle each holds).
+//! Response times recorded here are exactly the ones the run's
+//! [`crate::RunStats`] summarizes — the running phase, after the
+//! `io_ignore` warm-up prefix — so histogram quantiles and exact
+//! percentiles describe the same population.
 
 use crate::run::RunResult;
 use uflip_device::BlockDevice;

@@ -253,25 +253,20 @@ impl<'a> IoContext<'a> {
         io: &IoRequest,
         mut err: DeviceError,
     ) -> Result<Duration> {
-        let enabled = self.sink.is_enabled();
         let mut waited = Duration::ZERO;
         for attempt in 1..=self.policy.max_retries {
             if !err.is_transient() {
                 return Err(err);
             }
-            if enabled {
-                self.sink.add(CounterId::IoRetries, 1);
-            }
+            self.sink.add(CounterId::IoRetries, 1);
             let backoff = self.policy.backoff(attempt, &mut self.rng);
             dev.idle(backoff);
             waited += backoff;
             match issue(dev, io) {
                 Ok(rt) => {
                     let total = waited + rt;
-                    if enabled {
-                        self.sink
-                            .latency(LatencyClass::Retry, total.as_nanos() as u64);
-                    }
+                    self.sink
+                        .latency(LatencyClass::Retry, total.as_nanos() as u64);
                     return Ok(total);
                 }
                 Err(e) => err = e,
@@ -293,22 +288,17 @@ impl<'a> IoContext<'a> {
         at: Duration,
         mut err: DeviceError,
     ) -> Result<SubmitOutcome> {
-        let enabled = self.sink.is_enabled();
         let mut waited = Duration::ZERO;
         for attempt in 1..=self.policy.max_retries {
             if !err.is_transient() {
                 return Err(err);
             }
-            if enabled {
-                self.sink.add(CounterId::IoRetries, 1);
-            }
+            self.sink.add(CounterId::IoRetries, 1);
             waited += self.policy.backoff(attempt, &mut self.rng);
             match queue.submit(io, at + waited) {
                 Ok(token) => {
-                    if enabled {
-                        self.sink
-                            .latency(LatencyClass::Retry, waited.as_nanos() as u64);
-                    }
+                    self.sink
+                        .latency(LatencyClass::Retry, waited.as_nanos() as u64);
                     return Ok(SubmitOutcome::Submitted(token));
                 }
                 Err(DeviceError::QueueFull { .. }) => return Ok(SubmitOutcome::Full),
@@ -324,9 +314,7 @@ impl<'a> IoContext<'a> {
     /// lets the run go on without the IO (`Ok`); anything else aborts.
     fn exhausted(&self, err: DeviceError) -> Result<()> {
         if err.is_transient() && self.policy.max_retries > 0 {
-            if self.sink.is_enabled() {
-                self.sink.add(CounterId::RetryExhaustions, 1);
-            }
+            self.sink.add(CounterId::RetryExhaustions, 1);
             if self.policy.on_exhaustion == ExhaustionAction::Degrade {
                 return Ok(());
             }
@@ -340,7 +328,7 @@ impl<'a> IoContext<'a> {
     pub(crate) fn count_timeouts(&self, rts: &[Duration]) {
         if let Some(limit) = self.policy.timeout {
             let slow = rts.iter().filter(|&&rt| rt > limit).count() as u64;
-            if slow > 0 && self.sink.is_enabled() {
+            if slow > 0 {
                 self.sink.add(CounterId::IoTimeouts, slow);
             }
         }

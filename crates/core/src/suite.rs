@@ -26,8 +26,10 @@ use crate::policy::{IoContext, IoPolicy};
 use crate::stats::RunStats;
 use crate::Result;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Duration;
 use uflip_device::{BlockDevice, DeviceError, DeviceState};
+use uflip_obs::{Metrics, SinkHandle};
 
 /// All nine micro-benchmarks under one configuration, in the paper's
 /// presentation order (location parameters, then parallel/mixed, then
@@ -167,20 +169,16 @@ fn enforce_and_settle(dev: &mut dyn BlockDevice, opts: &SuiteOptions) -> Result<
 /// sharded bodies.
 ///
 /// With an enabled sink, each run's running-phase response times are
-/// recorded under the workload's latency class. `per_run_deltas`
-/// additionally brackets every run with a counter snapshot and emits
-/// the delta as a [`uflip_obs::WorkloadMetrics`] record; the sharded
-/// body turns this off because concurrent segments would bleed
-/// into each other's deltas (the global counters, histograms and
-/// channel samples stay exact — they are sums, not differences).
+/// recorded under the workload's latency class, and the run is
+/// bracketed with a counter snapshot whose delta is emitted as a
+/// [`uflip_obs::WorkloadMetrics`] record.
 fn execute_steps(
     dev: &mut dyn BlockDevice,
     plan: &BenchmarkPlan,
     opts: &SuiteOptions,
     steps: &[PlanStep],
     points: &mut Vec<SuitePointResult>,
-    sink: &uflip_obs::SinkHandle,
-    per_run_deltas: bool,
+    sink: &SinkHandle,
 ) -> Result<()> {
     let observed = sink.is_enabled();
     for step in steps {
@@ -199,14 +197,11 @@ fn execute_steps(
                 let e = &plan.experiments[*experiment];
                 let p = &e.points[*point];
                 let workload = p.workload.relocated(*offset);
-                let before =
-                    (observed && per_run_deltas).then(|| crate::observe::counters_now(sink));
+                let before = observed.then(|| crate::observe::counters_now(sink));
                 let run = workload.run(dev, &mut IoContext::new(&opts.io_policy, sink))?;
-                if observed {
+                if let Some(before) = &before {
                     crate::observe::record_run_latencies(sink, workload.latency_class(), &run);
-                    if let Some(before) = &before {
-                        crate::observe::emit_workload_delta(sink, &workload.label(), before);
-                    }
+                    crate::observe::emit_workload_delta(sink, &workload.label(), before);
                 }
                 points.push(SuitePointResult {
                     experiment: e.name.clone(),
@@ -263,22 +258,23 @@ pub fn execute_plan(
     plan: &BenchmarkPlan,
     opts: &SuiteOptions,
 ) -> Result<SuiteResult> {
-    execute_plan_observed(dev, plan, opts, &uflip_obs::SinkHandle::null())
+    execute_plan_observed(dev, plan, opts, &SinkHandle::null())
 }
 
-/// Observed [`execute_plan`]: attach `sink` to the device (and to every
-/// worker fork) before the plan runs, so state enforcement and every
-/// workload feed its counters, histograms and channel samples. A
-/// serial run additionally emits one [`uflip_obs::WorkloadMetrics`]
-/// delta per run (write amplification, host vs flash bytes); a sharded
-/// run emits none, because concurrent segments would bleed into each
-/// other's differences. With a null sink this is exactly
-/// [`execute_plan`], which leaves the device's own sink attached.
+/// Observed [`execute_plan`]: attach `sink` to the device before the
+/// plan runs, so state enforcement and every workload feed its
+/// counters, histograms and channel samples, and every run emits one
+/// [`uflip_obs::WorkloadMetrics`] delta (write amplification, host vs
+/// flash bytes). A sharded run gives each segment's fork a recorder
+/// of its own and merges them into `sink` in plan order, so it
+/// records exactly what the serial run records. With a null sink this
+/// is exactly [`execute_plan`], which leaves the device's own sink
+/// attached.
 pub fn execute_plan_observed(
     dev: &mut dyn BlockDevice,
     plan: &BenchmarkPlan,
     opts: &SuiteOptions,
-    sink: &uflip_obs::SinkHandle,
+    sink: &SinkHandle,
 ) -> Result<SuiteResult> {
     if sink.is_enabled() {
         dev.set_sink(sink.clone());
@@ -329,7 +325,7 @@ fn execute_serial(
     opts: &SuiteOptions,
     segments: &[Range<usize>],
     snapshot: Option<&dyn DeviceState>,
-    sink: &uflip_obs::SinkHandle,
+    sink: &SinkHandle,
 ) -> Result<(Vec<SuitePointResult>, Duration)> {
     let mut points = Vec::new();
     let mut device_time = Duration::ZERO;
@@ -348,23 +344,17 @@ fn execute_serial(
                 None => {}
             }
         }
-        execute_steps(
-            dev,
-            plan,
-            opts,
-            &plan.steps[seg.clone()],
-            &mut points,
-            sink,
-            true,
-        )?;
+        execute_steps(dev, plan, opts, &plan.steps[seg.clone()], &mut points, sink)?;
     }
     device_time += dev.now() - seg_start;
     Ok((points, device_time))
 }
 
 /// Run the segments on `workers` forks of `dev`, each restored to
-/// `snapshot` before every segment it is assigned. Returns the points
-/// in plan order and the summed per-segment device time.
+/// `snapshot` before every segment it is assigned. With an enabled
+/// `sink`, each segment records into a fresh [`Metrics`] attached to
+/// its fork, merged into `sink` in segment order at the join. Returns
+/// the points in plan order and the summed per-segment device time.
 fn execute_sharded(
     dev: &mut dyn BlockDevice,
     plan: &BenchmarkPlan,
@@ -372,24 +362,29 @@ fn execute_sharded(
     segments: &[Range<usize>],
     snapshot: &dyn DeviceState,
     workers: usize,
-    sink: &uflip_obs::SinkHandle,
+    sink: &SinkHandle,
 ) -> Result<(Vec<SuitePointResult>, Duration)> {
     let base = dev.now();
     // Round-robin segment assignment; results are keyed by segment
     // index, so the merge order never depends on thread scheduling.
-    type SegmentOutcome = (usize, Vec<SuitePointResult>, Duration);
+    type Segment = (Vec<SuitePointResult>, Duration, Option<Arc<Metrics>>);
+    type SegmentOutcome = (usize, Segment);
     let per_worker: Vec<Result<Vec<SegmentOutcome>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 // uflip-lint: allow(UF002, UF031, reason = "fork precondition checked by the snapshot_state gate above; no Result plumbing inside thread::scope closures")
                 let mut fork = dev.fork().expect("snapshot_capable devices support fork");
-                if sink.is_enabled() {
-                    fork.set_sink(sink.clone());
-                }
                 let state = snapshot.clone_state();
                 scope.spawn(move || -> Result<Vec<SegmentOutcome>> {
                     let mut out = Vec::new();
                     for seg in (w..segments.len()).step_by(workers) {
+                        let (metrics, seg_sink) = if sink.is_enabled() {
+                            let (metrics, seg_sink) = Metrics::shared();
+                            fork.set_sink(seg_sink.clone());
+                            (Some(metrics), seg_sink)
+                        } else {
+                            (None, SinkHandle::null())
+                        };
                         fork.restore_state(state.as_ref())?;
                         let mut points = Vec::new();
                         execute_steps(
@@ -398,10 +393,9 @@ fn execute_sharded(
                             opts,
                             &plan.steps[segments[seg].clone()],
                             &mut points,
-                            sink,
-                            false,
+                            &seg_sink,
                         )?;
-                        out.push((seg, points, fork.now() - base));
+                        out.push((seg, (points, fork.now() - base, metrics)));
                     }
                     Ok(out)
                 })
@@ -413,21 +407,23 @@ fn execute_sharded(
             .map(|h| h.join().expect("plan segment threads do not panic"))
             .collect()
     });
-    let mut by_segment: Vec<Option<(Vec<SuitePointResult>, Duration)>> =
-        (0..segments.len()).map(|_| None).collect();
+    let mut by_segment: Vec<Option<Segment>> = (0..segments.len()).map(|_| None).collect();
     for worker in per_worker {
-        for (seg, points, elapsed) in worker? {
-            by_segment[seg] = Some((points, elapsed));
+        for (seg, outcome) in worker? {
+            by_segment[seg] = Some(outcome);
         }
     }
     let mut points = Vec::new();
     let mut device_time = Duration::ZERO;
     for seg in by_segment {
-        let (p, elapsed) = seg.ok_or(DeviceError::Internal(
+        let (p, elapsed, metrics) = seg.ok_or(DeviceError::Internal(
             "segment missing from every worker's results",
         ))?;
         points.extend(p);
         device_time += elapsed;
+        if let Some(metrics) = metrics {
+            sink.merge(&metrics);
+        }
     }
     Ok((points, device_time))
 }

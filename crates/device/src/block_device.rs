@@ -61,12 +61,12 @@ pub trait BlockDevice {
     /// forward the handle to their FTL / queue engine so NAND, merge,
     /// host-IO and queue events flow into it.
     ///
-    /// **Overhead guarantee**: with the default no-op sink attached (or
-    /// none at all), the instrumentation cost is a single cached `bool`
-    /// test per event site — no atomics, no allocation — and response
-    /// times are bit-identical to an uninstrumented build. Sinks
-    /// observe; they must never influence timing. The default drops the
-    /// handle (devices without instrumentation).
+    /// **Overhead guarantee**: with the null handle attached (or none
+    /// at all), the instrumentation cost is one null check on the held
+    /// handle per event site — no atomics, no allocation — and
+    /// response times are bit-identical to an uninstrumented build.
+    /// Sinks observe; they must never influence timing. The default
+    /// drops the handle (devices without instrumentation).
     fn set_sink(&mut self, sink: uflip_obs::SinkHandle) {
         let _ = sink;
     }

@@ -119,8 +119,6 @@ pub struct DirectIoFile {
     /// Observability sink for the synchronous path; the queued path
     /// emits through the embedded [`ThreadedIoQueue`]'s own handle.
     sink: uflip_obs::SinkHandle,
-    /// Cached `sink.is_enabled()` so the no-op path costs one bool test.
-    sink_enabled: bool,
 }
 
 impl DirectIoFile {
@@ -217,7 +215,6 @@ impl DirectIoFile {
             fill: 0xA5,
             queue,
             sink: uflip_obs::SinkHandle::null(),
-            sink_enabled: false,
         })
     }
 }
@@ -238,10 +235,8 @@ impl BlockDevice for DirectIoFile {
         let t0 = Instant::now();
         self.file
             .read_exact_at(&mut self.buf.as_mut_slice()[..len as usize], offset)?;
-        if self.sink_enabled {
-            self.sink.add(uflip_obs::CounterId::HostReads, 1);
-            self.sink.add(uflip_obs::CounterId::LogicalBytesRead, len);
-        }
+        self.sink.add(uflip_obs::CounterId::HostReads, 1);
+        self.sink.add(uflip_obs::CounterId::LogicalBytesRead, len);
         Ok(t0.elapsed())
     }
 
@@ -256,11 +251,9 @@ impl BlockDevice for DirectIoFile {
         let t0 = Instant::now();
         self.file
             .write_all_at(&self.buf.as_slice()[..len as usize], offset)?;
-        if self.sink_enabled {
-            self.sink.add(uflip_obs::CounterId::HostWrites, 1);
-            self.sink
-                .add(uflip_obs::CounterId::LogicalBytesWritten, len);
-        }
+        self.sink.add(uflip_obs::CounterId::HostWrites, 1);
+        self.sink
+            .add(uflip_obs::CounterId::LogicalBytesWritten, len);
         Ok(t0.elapsed())
     }
 
@@ -301,7 +294,6 @@ impl BlockDevice for DirectIoFile {
     }
 
     fn set_sink(&mut self, sink: uflip_obs::SinkHandle) {
-        self.sink_enabled = sink.is_enabled();
         self.queue.set_sink(sink.clone());
         self.sink = sink;
     }

@@ -243,7 +243,6 @@ pub struct FaultyDevice<D: BlockDevice> {
     /// `Some(index)` after an injected power loss, until recovery.
     crashed: Option<u64>,
     sink: SinkHandle,
-    sink_enabled: bool,
 }
 
 impl<D: BlockDevice> FaultyDevice<D> {
@@ -259,7 +258,6 @@ impl<D: BlockDevice> FaultyDevice<D> {
             io_index: 0,
             crashed: None,
             sink: SinkHandle::null(),
-            sink_enabled: false,
         }
     }
 
@@ -328,9 +326,7 @@ impl<D: BlockDevice> FaultyDevice<D> {
             // Consume the crash point so the schedule moves past it
             // once the device is recovered.
             self.io_index += 1;
-            if self.sink_enabled {
-                self.sink.add(CounterId::PowerLossEvents, 1);
-            }
+            self.sink.add(CounterId::PowerLossEvents, 1);
             return Err(DeviceError::PowerLoss { index });
         }
         self.io_index += 1;
@@ -342,15 +338,13 @@ impl<D: BlockDevice> FaultyDevice<D> {
         // filters the outcome — so adding a target range never shifts
         // the random stream seen by other IOs.
         if rate > 0.0 && self.next_unit() < rate && self.targeted(offset, len) {
-            if self.sink_enabled {
-                self.sink.add(
-                    match mode {
-                        Mode::Read => CounterId::InjectedReadFaults,
-                        Mode::Write => CounterId::InjectedWriteFaults,
-                    },
-                    1,
-                );
-            }
+            self.sink.add(
+                match mode {
+                    Mode::Read => CounterId::InjectedReadFaults,
+                    Mode::Write => CounterId::InjectedWriteFaults,
+                },
+                1,
+            );
             return Err(DeviceError::Injected {
                 kind: FailureKind::Transient,
                 index,
@@ -362,16 +356,12 @@ impl<D: BlockDevice> FaultyDevice<D> {
             && self.next_unit() < self.plan.latency_spike_rate
         {
             extra += self.plan.latency_spike_ns;
-            if self.sink_enabled {
-                self.sink.add(CounterId::InjectedLatencySpikes, 1);
-            }
+            self.sink.add(CounterId::InjectedLatencySpikes, 1);
         }
         if let Some(sc) = &self.plan.stuck_channel {
             if sc.hits(offset) {
                 extra += sc.extra_ns;
-                if self.sink_enabled {
-                    self.sink.add(CounterId::InjectedLatencySpikes, 1);
-                }
+                self.sink.add(CounterId::InjectedLatencySpikes, 1);
             }
         }
         Ok(extra)
@@ -450,7 +440,6 @@ impl<D: BlockDevice> BlockDevice for FaultyDevice<D> {
     }
 
     fn set_sink(&mut self, sink: SinkHandle) {
-        self.sink_enabled = sink.is_enabled();
         self.inner.set_sink(sink.clone());
         self.sink = sink;
     }
@@ -476,7 +465,6 @@ impl<D: BlockDevice> BlockDevice for FaultyDevice<D> {
             io_index: self.io_index,
             crashed: self.crashed,
             sink: self.sink.clone(),
-            sink_enabled: self.sink_enabled,
         }))
     }
 }
@@ -527,9 +515,7 @@ impl<D: BlockDevice> IoQueue for FaultyDevice<D> {
                     .ok_or(DeviceError::Internal("submit on a backend without a queue"))?;
                 if q.in_flight() > 0 {
                     let depth = q.queue_depth();
-                    if self.sink_enabled {
-                        self.sink.add(CounterId::QueueFullRejections, 1);
-                    }
+                    self.sink.add(CounterId::QueueFullRejections, 1);
                     return Err(DeviceError::QueueFull { depth });
                 }
             }

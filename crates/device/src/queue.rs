@@ -57,10 +57,10 @@
 //! Queue implementations emit submission/completion/rejection counters
 //! and per-channel busy intervals into an attached `uflip_obs` sink
 //! (see `BlockDevice::set_sink`). The contract is the same as
-//! everywhere in the stack: with the default no-op sink the cost is
-//! one cached `bool` test per event site — no atomics, no allocation —
-//! and every completion time is bit-identical to an uninstrumented
-//! run. A sink can observe a queue; it can never steer it.
+//! everywhere in the stack: with the null handle the cost is one null
+//! check per event site — no atomics, no allocation — and every
+//! completion time is bit-identical to an uninstrumented run. A sink
+//! can observe a queue; it can never steer it.
 
 use crate::Result;
 use std::time::Duration;

@@ -161,8 +161,6 @@ pub struct SimDevice {
     /// [`SimState`] — snapshots capture device behaviour, not who is
     /// watching it.
     sink: SinkHandle,
-    /// Cached `sink.is_enabled()` so the no-op path costs one bool test.
-    sink_enabled: bool,
     /// Scratch buffers for per-channel busy accounting (hot path:
     /// reused across queued IOs so submission never allocates). Not
     /// semantic state: filled and consumed within one queued IO.
@@ -223,7 +221,6 @@ impl Clone for SimDevice {
             stride_quirk: self.stride_quirk,
             state: self.state.clone(),
             sink: self.sink.clone(),
-            sink_enabled: self.sink_enabled,
             // Scratch buffers carry no state, but a clone that starts
             // them empty pays three fresh channel-sized growths on its
             // first queued IO — measurable when forks run short
@@ -272,7 +269,6 @@ impl SimDevice {
                 slots: BinaryHeap::new(),
             },
             sink: SinkHandle::null(),
-            sink_enabled: false,
             busy_before: Vec::new(),
             busy_after: Vec::new(),
             busy_delta: Vec::new(),
@@ -357,7 +353,8 @@ impl SimDevice {
         // The restored FTL carries whatever sink was attached when the
         // snapshot was taken; re-attach this device's sink so counters
         // keep flowing to the current observer (obs counters are
-        // monotonic — a restore never rewinds them).
+        // monotonic — a restore never rewinds them). Re-attaching also
+        // moves the NAND array's count baseline to the restored totals.
         self.ftl.set_sink(self.sink.clone());
     }
 
@@ -432,14 +429,14 @@ impl BlockDevice for SimDevice {
     fn read(&mut self, offset: u64, len: u64) -> Result<Duration> {
         self.check(offset, len)?;
         let start_ns = self.state.clock_ns;
-        if self.sink_enabled {
+        if self.sink.is_enabled() {
             self.sync_busy_before();
         }
         let flash = self.ftl.read(offset / 512, (len / 512) as u32)?;
         let rt = self.compose(flash, len) + self.draw_jitter();
         self.state.clock_ns += rt;
         self.state.queue_busy_end_ns = self.state.queue_busy_end_ns.max(self.state.clock_ns);
-        if self.sink_enabled {
+        if self.sink.is_enabled() {
             self.sync_busy_emit(start_ns, flash);
         }
         Ok(Duration::from_nanos(rt))
@@ -449,7 +446,7 @@ impl BlockDevice for SimDevice {
         self.check(offset, len)?;
         let start_ns = self.state.clock_ns;
         let factor = self.stride_factor(offset);
-        if self.sink_enabled {
+        if self.sink.is_enabled() {
             self.sync_busy_before();
         }
         let flash = self.ftl.write(offset / 512, (len / 512) as u32)?;
@@ -457,7 +454,7 @@ impl BlockDevice for SimDevice {
         let rt = self.compose(flash, len) + self.draw_jitter();
         self.state.clock_ns += rt;
         self.state.queue_busy_end_ns = self.state.queue_busy_end_ns.max(self.state.clock_ns);
-        if self.sink_enabled {
+        if self.sink.is_enabled() {
             self.sync_busy_emit(start_ns, flash);
         }
         Ok(Duration::from_nanos(rt))
@@ -486,7 +483,6 @@ impl BlockDevice for SimDevice {
     }
 
     fn set_sink(&mut self, sink: uflip_obs::SinkHandle) {
-        self.sink_enabled = sink.is_enabled();
         self.ftl.set_sink(sink.clone());
         self.sink = sink;
     }
@@ -598,9 +594,7 @@ impl IoQueue for SimDevice {
 
     fn submit(&mut self, io: &IoRequest, at: Duration) -> Result<Token> {
         if self.state.inflight.len() >= self.state.queue_depth as usize {
-            if self.sink_enabled {
-                self.sink.add(CounterId::QueueFullRejections, 1);
-            }
+            self.sink.add(CounterId::QueueFullRejections, 1);
             return Err(crate::DeviceError::QueueFull {
                 depth: self.state.queue_depth,
             });
@@ -624,8 +618,8 @@ impl IoQueue for SimDevice {
         let busy = std::mem::take(&mut self.busy_delta);
         let start = self.state.tracks.start_ns(admit, &busy);
         self.state.tracks.occupy(start, &busy);
-        if self.sink_enabled {
-            self.sink.add(CounterId::QueueSubmissions, 1);
+        self.sink.add(CounterId::QueueSubmissions, 1);
+        if self.sink.is_enabled() {
             for (ch, &b) in busy.iter().enumerate() {
                 if b > 0 {
                     self.sink.channel_busy(ch, start, b);
@@ -657,7 +651,7 @@ impl IoQueue for SimDevice {
             .inflight
             .pop()
             .map(|Reverse((ns, tok))| (Token::from_raw(tok), Duration::from_nanos(ns)));
-        if done.is_some() && self.sink_enabled {
+        if done.is_some() {
             self.sink.add(CounterId::QueueCompletions, 1);
         }
         done

@@ -188,8 +188,6 @@ pub struct ThreadedIoQueue {
     /// Observability sink; never affects timing. No FTL behind a real
     /// device, so host-IO counters are emitted here at submission.
     sink: SinkHandle,
-    /// Cached `sink.is_enabled()` so the no-op path costs one bool test.
-    sink_enabled: bool,
 }
 
 impl std::fmt::Debug for ThreadedIoQueue {
@@ -230,13 +228,11 @@ impl ThreadedIoQueue {
             workers: Vec::new(),
             retry: RetrySpec::default(),
             sink: SinkHandle::null(),
-            sink_enabled: false,
         }
     }
 
     /// Attach an observability sink (queue and host-IO counters).
     pub fn set_sink(&mut self, sink: SinkHandle) {
-        self.sink_enabled = sink.is_enabled();
         self.sink = sink;
     }
 
@@ -267,7 +263,7 @@ impl ThreadedIoQueue {
     /// Flush worker-observed retries into the sink counter.
     fn flush_retries(&self, lane: &mut CompletionLane) {
         let n = std::mem::take(&mut lane.retries);
-        if n > 0 && self.sink_enabled {
+        if n > 0 {
             self.sink.add(CounterId::IoRetries, n);
         }
     }
@@ -399,9 +395,7 @@ impl IoQueue for ThreadedIoQueue {
 
     fn submit(&mut self, io: &IoRequest, at: Duration) -> Result<Token> {
         if self.in_flight >= self.depth as usize {
-            if self.sink_enabled {
-                self.sink.add(CounterId::QueueFullRejections, 1);
-            }
+            self.sink.add(CounterId::QueueFullRejections, 1);
             return Err(crate::DeviceError::QueueFull { depth: self.depth });
         }
         self.validate(io)?;
@@ -438,17 +432,15 @@ impl IoQueue for ThreadedIoQueue {
             })?;
         self.next_token += 1;
         self.in_flight += 1;
-        if self.sink_enabled {
-            self.sink.add(CounterId::QueueSubmissions, 1);
-            match io.mode {
-                Mode::Read => {
-                    self.sink.add(CounterId::HostReads, 1);
-                    self.sink.add(CounterId::LogicalBytesRead, io.size);
-                }
-                Mode::Write => {
-                    self.sink.add(CounterId::HostWrites, 1);
-                    self.sink.add(CounterId::LogicalBytesWritten, io.size);
-                }
+        self.sink.add(CounterId::QueueSubmissions, 1);
+        match io.mode {
+            Mode::Read => {
+                self.sink.add(CounterId::HostReads, 1);
+                self.sink.add(CounterId::LogicalBytesRead, io.size);
+            }
+            Mode::Write => {
+                self.sink.add(CounterId::HostWrites, 1);
+                self.sink.add(CounterId::LogicalBytesWritten, io.size);
             }
         }
         Ok(token)
@@ -493,9 +485,7 @@ impl IoQueue for ThreadedIoQueue {
         }
         let Reverse((ns, tok)) = lane.ready.pop()?;
         self.in_flight -= 1;
-        if self.sink_enabled {
-            self.sink.add(CounterId::QueueCompletions, 1);
-        }
+        self.sink.add(CounterId::QueueCompletions, 1);
         Some((Token::from_raw(tok), Duration::from_nanos(ns)))
     }
 }

@@ -158,8 +158,6 @@ pub struct BlockMapFtl {
     tick: u64,
     /// Observability sink; never affects timing.
     sink: SinkHandle,
-    /// Cached `sink.is_enabled()` so the no-op path costs one bool test.
-    sink_enabled: bool,
     stats: FtlStats,
 }
 
@@ -191,7 +189,6 @@ impl BlockMapFtl {
             open: Vec::with_capacity(cfg.open_aus),
             tick: 0,
             sink: SinkHandle::null(),
-            sink_enabled: false,
             stats: FtlStats::default(),
             groups,
             cfg,
@@ -320,15 +317,11 @@ impl BlockMapFtl {
             if copied > 0 {
                 self.stats.full_merges += 1;
                 self.stats.sync_merges += 1;
-                if self.sink_enabled {
-                    self.sink.add(CounterId::FullMerges, 1);
-                    self.sink.add(CounterId::SyncMerges, 1);
-                }
+                self.sink.add(CounterId::FullMerges, 1);
+                self.sink.add(CounterId::SyncMerges, 1);
             } else {
                 self.stats.switch_merges += 1;
-                if self.sink_enabled {
-                    self.sink.add(CounterId::SwitchMerges, 1);
-                }
+                self.sink.add(CounterId::SwitchMerges, 1);
             }
         } else {
             // Rebuild: merge replacement + old into a fresh group.
@@ -356,10 +349,8 @@ impl BlockMapFtl {
             self.data_map[au.lau as usize] = fresh;
             self.stats.full_merges += 1;
             self.stats.sync_merges += 1;
-            if self.sink_enabled {
-                self.sink.add(CounterId::FullMerges, 1);
-                self.sink.add(CounterId::SyncMerges, 1);
-            }
+            self.sink.add(CounterId::FullMerges, 1);
+            self.sink.add(CounterId::SyncMerges, 1);
         }
         Ok(ns)
     }
@@ -427,10 +418,8 @@ impl BlockMapFtl {
         }
         self.stats.full_merges += 1;
         self.stats.sync_merges += 1;
-        if self.sink_enabled {
-            self.sink.add(CounterId::FullMerges, 1);
-            self.sink.add(CounterId::SyncMerges, 1);
-        }
+        self.sink.add(CounterId::FullMerges, 1);
+        self.sink.add(CounterId::SyncMerges, 1);
         Ok(ns)
     }
 
@@ -464,9 +453,7 @@ impl BlockMapFtl {
             }
             self.data_map[lau as usize] = repl;
             self.stats.switch_merges += 1;
-            if self.sink_enabled {
-                self.sink.add(CounterId::SwitchMerges, 1);
-            }
+            self.sink.add(CounterId::SwitchMerges, 1);
         } else {
             let fresh = self.alloc_group()?;
             self.array.stream_begin();
@@ -483,10 +470,8 @@ impl BlockMapFtl {
             self.data_map[lau as usize] = fresh;
             self.stats.full_merges += 1;
             self.stats.sync_merges += 1;
-            if self.sink_enabled {
-                self.sink.add(CounterId::FullMerges, 1);
-                self.sink.add(CounterId::SyncMerges, 1);
-            }
+            self.sink.add(CounterId::FullMerges, 1);
+            self.sink.add(CounterId::SyncMerges, 1);
         }
         // Fresh episode with a new lazy replacement.
         let new_repl = self.alloc_group()?;
@@ -522,9 +507,7 @@ impl BlockMapFtl {
             // the whole chunk whenever the host covers only part of it —
             // the Figure 7 small-write penalty.
             self.stats.rmw_events += 1;
-            if self.sink_enabled {
-                self.sink.add(CounterId::RmwEvents, 1);
-            }
+            self.sink.add(CounterId::RmwEvents, 1);
         }
         match self.cfg.policy {
             ReplacementPolicy::Ordered {
@@ -652,11 +635,9 @@ impl Ftl for BlockMapFtl {
         let ns = self.array.stream_finish();
         self.stats.host_reads += 1;
         self.stats.sectors_read += sectors as u64;
-        if self.sink_enabled {
-            self.sink.add(CounterId::HostReads, 1);
-            self.sink
-                .add(CounterId::LogicalBytesRead, sectors as u64 * SECTOR_BYTES);
-        }
+        self.sink.add(CounterId::HostReads, 1);
+        self.sink
+            .add(CounterId::LogicalBytesRead, sectors as u64 * SECTOR_BYTES);
         Ok(ns)
     }
 
@@ -680,18 +661,15 @@ impl Ftl for BlockMapFtl {
         }
         self.stats.host_writes += 1;
         self.stats.sectors_written += sectors as u64;
-        if self.sink_enabled {
-            self.sink.add(CounterId::HostWrites, 1);
-            self.sink.add(
-                CounterId::LogicalBytesWritten,
-                sectors as u64 * SECTOR_BYTES,
-            );
-        }
+        self.sink.add(CounterId::HostWrites, 1);
+        self.sink.add(
+            CounterId::LogicalBytesWritten,
+            sectors as u64 * SECTOR_BYTES,
+        );
         Ok(ns)
     }
 
     fn set_sink(&mut self, sink: SinkHandle) {
-        self.sink_enabled = sink.is_enabled();
         self.array.set_sink(sink.clone());
         self.sink = sink;
     }

@@ -180,8 +180,6 @@ pub struct FittedFtl {
     /// Observability sink; never affects timing. No NAND array behind a
     /// fitted model, so only host-level counters are emitted.
     sink: SinkHandle,
-    /// Cached `sink.is_enabled()` so the no-op path costs one bool test.
-    sink_enabled: bool,
     stats: FtlStats,
 }
 
@@ -196,7 +194,6 @@ impl FittedFtl {
             write_cursor: None,
             busy_totals: vec![0; channels],
             sink: SinkHandle::null(),
-            sink_enabled: false,
             stats: FtlStats::default(),
         })
     }
@@ -233,10 +230,8 @@ impl Ftl for FittedFtl {
         self.charge(lba, ns);
         self.stats.host_reads += 1;
         self.stats.sectors_read += u64::from(sectors);
-        if self.sink_enabled {
-            self.sink.add(CounterId::HostReads, 1);
-            self.sink.add(CounterId::LogicalBytesRead, bytes);
-        }
+        self.sink.add(CounterId::HostReads, 1);
+        self.sink.add(CounterId::LogicalBytesRead, bytes);
         Ok(ns)
     }
 
@@ -260,24 +255,19 @@ impl Ftl for FittedFtl {
         if g > 0 && bytes >= g && !(lba * 512).is_multiple_of(g) {
             ns *= self.config.align_penalty;
             self.stats.rmw_events += 1;
-            if self.sink_enabled {
-                self.sink.add(CounterId::RmwEvents, 1);
-            }
+            self.sink.add(CounterId::RmwEvents, 1);
         }
         let ns = ns.round() as u64;
         self.charge(lba, ns);
         self.stats.host_writes += 1;
         self.stats.sectors_written += u64::from(sectors);
         self.stats.logical_pages_written += u64::from(sectors).div_ceil(8); // 4 KB pages
-        if self.sink_enabled {
-            self.sink.add(CounterId::HostWrites, 1);
-            self.sink.add(CounterId::LogicalBytesWritten, bytes);
-        }
+        self.sink.add(CounterId::HostWrites, 1);
+        self.sink.add(CounterId::LogicalBytesWritten, bytes);
         Ok(ns)
     }
 
     fn set_sink(&mut self, sink: SinkHandle) {
-        self.sink_enabled = sink.is_enabled();
         self.sink = sink;
     }
 

@@ -218,8 +218,6 @@ pub struct HybridLogFtl {
     read_tally: Vec<u32>,
     /// Observability sink; never affects timing.
     sink: SinkHandle,
-    /// Cached `sink.is_enabled()` so the no-op path costs one bool test.
-    sink_enabled: bool,
     stats: FtlStats,
 }
 
@@ -259,7 +257,6 @@ impl HybridLogFtl {
             bg_credit_ns: 0,
             read_tally: vec![0; groups.chips() as usize],
             sink: SinkHandle::null(),
-            sink_enabled: false,
             stats: FtlStats::default(),
             groups,
             cfg,
@@ -418,9 +415,7 @@ impl HybridLogFtl {
         self.log_members[idx].clear();
         self.log_valid[idx] = 0;
         self.stats.switch_merges += 1;
-        if self.sink_enabled {
-            self.sink.add(CounterId::SwitchMerges, 1);
-        }
+        self.sink.add(CounterId::SwitchMerges, 1);
         Ok(ns)
     }
 
@@ -491,10 +486,8 @@ impl HybridLogFtl {
         self.data_map[lgroup as usize] = new_phys;
         self.stats.full_merges += 1;
         self.stats.sync_merges += 1;
-        if self.sink_enabled {
-            self.sink.add(CounterId::FullMerges, 1);
-            self.sink.add(CounterId::SyncMerges, 1);
-        }
+        self.sink.add(CounterId::FullMerges, 1);
+        self.sink.add(CounterId::SyncMerges, 1);
         // Opportunistically reclaim log groups that just went empty.
         let mut reclaim_ns = 0;
         for g in touched_logs {
@@ -734,9 +727,7 @@ impl HybridLogFtl {
                 Ok((ns, progressed)) => {
                     self.bg_credit_ns = self.bg_credit_ns.saturating_sub(ns.max(1));
                     self.stats.async_merges += 1;
-                    if self.sink_enabled {
-                        self.sink.add(CounterId::AsyncMerges, 1);
-                    }
+                    self.sink.add(CounterId::AsyncMerges, 1);
                     if !progressed && ns == 0 {
                         break;
                     }
@@ -758,9 +749,7 @@ impl HybridLogFtl {
                 Ok(ns) => {
                     self.bg_credit_ns = self.bg_credit_ns.saturating_sub(ns.max(1));
                     self.stats.async_merges += 1;
-                    if self.sink_enabled {
-                        self.sink.add(CounterId::AsyncMerges, 1);
-                    }
+                    self.sink.add(CounterId::AsyncMerges, 1);
                 }
                 Err(_) => break,
             }
@@ -1034,11 +1023,9 @@ impl Ftl for HybridLogFtl {
         }
         self.stats.host_reads += 1;
         self.stats.sectors_read += sectors as u64;
-        if self.sink_enabled {
-            self.sink.add(CounterId::HostReads, 1);
-            self.sink
-                .add(CounterId::LogicalBytesRead, sectors as u64 * SECTOR_BYTES);
-        }
+        self.sink.add(CounterId::HostReads, 1);
+        self.sink
+            .add(CounterId::LogicalBytesRead, sectors as u64 * SECTOR_BYTES);
         Ok(ns)
     }
 
@@ -1054,9 +1041,7 @@ impl Ftl for HybridLogFtl {
             let elast = last.div_ceil(unit) * unit;
             if efirst != first || elast != last {
                 self.stats.rmw_events += 1;
-                if self.sink_enabled {
-                    self.sink.add(CounterId::RmwEvents, 1);
-                }
+                self.sink.add(CounterId::RmwEvents, 1);
                 first = efirst;
                 last = elast.min(self.layout.capacity_pages());
             }
@@ -1081,9 +1066,7 @@ impl Ftl for HybridLogFtl {
             }
             ns += self.array.stream_finish();
             self.stats.rmw_events += 1;
-            if self.sink_enabled {
-                self.sink.add(CounterId::RmwEvents, 1);
-            }
+            self.sink.add(CounterId::RmwEvents, 1);
         }
         if self.cfg.write_cache.is_disabled() {
             ns += self.flash_write_range(first, last)?;
@@ -1091,9 +1074,7 @@ impl Ftl for HybridLogFtl {
             for lpn in first..last {
                 if self.cache.admit(lpn) == Admit::Absorbed {
                     // rewrite absorbed in RAM: no flash work now.
-                    if self.sink_enabled {
-                        self.sink.add(CounterId::WriteCacheHits, 1);
-                    }
+                    self.sink.add(CounterId::WriteCacheHits, 1);
                     continue;
                 }
             }
@@ -1107,13 +1088,11 @@ impl Ftl for HybridLogFtl {
         }
         self.stats.host_writes += 1;
         self.stats.sectors_written += sectors as u64;
-        if self.sink_enabled {
-            self.sink.add(CounterId::HostWrites, 1);
-            self.sink.add(
-                CounterId::LogicalBytesWritten,
-                sectors as u64 * SECTOR_BYTES,
-            );
-        }
+        self.sink.add(CounterId::HostWrites, 1);
+        self.sink.add(
+            CounterId::LogicalBytesWritten,
+            sectors as u64 * SECTOR_BYTES,
+        );
         Ok(ns)
     }
 
@@ -1122,7 +1101,6 @@ impl Ftl for HybridLogFtl {
     }
 
     fn set_sink(&mut self, sink: SinkHandle) {
-        self.sink_enabled = sink.is_enabled();
         self.array.set_sink(sink.clone());
         self.sink = sink;
     }

@@ -143,8 +143,6 @@ pub struct PageMapFtl {
     scratch: Batch,
     /// Observability sink (host-IO and merge events).
     sink: SinkHandle,
-    /// Cached `sink.is_enabled()`.
-    sink_enabled: bool,
     stats: FtlStats,
     pages_per_block: u32,
     blocks_per_chip: u32,
@@ -182,7 +180,6 @@ impl PageMapFtl {
             bg_credit_ns: 0,
             scratch: Batch::new(),
             sink: SinkHandle::null(),
-            sink_enabled: false,
             stats: FtlStats::default(),
             pages_per_block,
             blocks_per_chip,
@@ -386,17 +383,15 @@ impl PageMapFtl {
             self.stats.async_merges += 1;
         }
         self.stats.full_merges += 1;
-        if self.sink_enabled {
-            self.sink.add(
-                if sync {
-                    CounterId::SyncMerges
-                } else {
-                    CounterId::AsyncMerges
-                },
-                1,
-            );
-            self.sink.add(CounterId::FullMerges, 1);
-        }
+        self.sink.add(
+            if sync {
+                CounterId::SyncMerges
+            } else {
+                CounterId::AsyncMerges
+            },
+            1,
+        );
+        self.sink.add(CounterId::FullMerges, 1);
         Ok(ns)
     }
 
@@ -471,11 +466,9 @@ impl Ftl for PageMapFtl {
         }
         self.stats.host_reads += 1;
         self.stats.sectors_read += sectors as u64;
-        if self.sink_enabled {
-            self.sink.add(CounterId::HostReads, 1);
-            self.sink
-                .add(CounterId::LogicalBytesRead, sectors as u64 * SECTOR_BYTES);
-        }
+        self.sink.add(CounterId::HostReads, 1);
+        self.sink
+            .add(CounterId::LogicalBytesRead, sectors as u64 * SECTOR_BYTES);
         Ok(ns)
     }
 
@@ -495,9 +488,7 @@ impl Ftl for PageMapFtl {
                 }
             }
             self.stats.rmw_events += 1;
-            if self.sink_enabled {
-                self.sink.add(CounterId::RmwEvents, 1);
-            }
+            self.sink.add(CounterId::RmwEvents, 1);
         }
         for lpn in first..last {
             self.unmap(lpn);
@@ -515,13 +506,11 @@ impl Ftl for PageMapFtl {
         self.scratch = batch;
         self.stats.host_writes += 1;
         self.stats.sectors_written += sectors as u64;
-        if self.sink_enabled {
-            self.sink.add(CounterId::HostWrites, 1);
-            self.sink.add(
-                CounterId::LogicalBytesWritten,
-                sectors as u64 * SECTOR_BYTES,
-            );
-        }
+        self.sink.add(CounterId::HostWrites, 1);
+        self.sink.add(
+            CounterId::LogicalBytesWritten,
+            sectors as u64 * SECTOR_BYTES,
+        );
         Ok(total_ns)
     }
 
@@ -530,7 +519,6 @@ impl Ftl for PageMapFtl {
     }
 
     fn set_sink(&mut self, sink: SinkHandle) {
-        self.sink_enabled = sink.is_enabled();
         self.array.set_sink(sink.clone());
         self.sink = sink;
     }

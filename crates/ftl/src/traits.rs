@@ -63,9 +63,10 @@ pub trait Ftl {
     }
 
     /// Attach an observability sink. Implementations store the handle,
-    /// forward it to their backing [`uflip_nand::NandArray`], and emit
-    /// host-IO and merge events into it; the sink must never influence
-    /// timing. Default: events are dropped (the no-op sink).
+    /// forward it to their backing [`uflip_nand::NandArray`] (which
+    /// counts the NAND work), and count host-IO and merge events into
+    /// it; the sink must never influence timing. Default: events are
+    /// dropped (the null handle).
     fn set_sink(&mut self, sink: SinkHandle) {
         let _ = sink;
     }

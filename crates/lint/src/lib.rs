@@ -32,7 +32,7 @@
 //! | UF010 | graph | wall-clock reads reachable from a sim root | reachability closes the gap UF001's file-local view leaves |
 //! | UF011 | graph | unseeded RNG (`thread_rng`, `OsRng`, …) reachable from a sim root | every random stream is seeded by the plan |
 //! | UF012 | graph | std `HashMap`/`HashSet` iteration reachable from a sim root | SipHash iteration order is per-process random — fingerprint poison |
-//! | UF020 | graph | cycles in the lock-order graph | striped-lock FTLs (ROADMAP item 3) need one global lock order |
+//! | UF020 | graph | cycles in the lock-order graph | one global lock order: two locks taken in both orders anywhere can deadlock once threads overlap |
 //! | UF021 | graph | a guard held across a call that may block | no lock convoy / deadlock-by-blocking |
 //! | UF030 | graph | `let _ =` / statement `.ok();` discarding a `Result` in library code | errors are handled or explicitly documented |
 //! | UF031 | graph | a surviving UF002 panic site reachable from a sim root | sim paths stay panic-free even where a file-local allow exists |

@@ -16,6 +16,7 @@
 use crate::chip::{Chip, ChipConfig};
 use crate::error::NandError;
 use crate::ops::NandOp;
+use crate::stats::NandStats;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use uflip_obs::{CounterId, SinkHandle};
@@ -114,10 +115,12 @@ pub struct NandArray {
     /// Consumers (the device queue engine) diff these around an FTL
     /// call to attribute an IO's flash time to channels.
     busy_totals: Vec<u64>,
-    /// Observability sink; events mirror the chip stats exactly.
+    /// Observability sink. The chips count every op in their
+    /// [`NandStats`]; each batch end sends the sink the growth since
+    /// `emitted`.
     sink: SinkHandle,
-    /// Cached `sink.is_enabled()` so the disabled path is one branch.
-    sink_enabled: bool,
+    /// The stats totals already sent to `sink`.
+    emitted: NandStats,
 }
 
 impl NandArray {
@@ -133,19 +136,23 @@ impl NandArray {
             channel_busy: vec![0; config.channels as usize],
             busy_totals: vec![0; config.channels as usize],
             sink: SinkHandle::null(),
-            sink_enabled: false,
+            emitted: NandStats::default(),
             config,
         }
     }
 
-    /// Attach an observability sink. Every executed NAND operation is
-    /// mirrored into its counters ([`CounterId::PageReads`],
+    /// Attach an observability sink. Each batch end
+    /// ([`execute`](Self::execute), [`execute_serial`](Self::execute_serial),
+    /// [`stream_finish`](Self::stream_finish)) sends it what the chips
+    /// counted since the last one: [`CounterId::PageReads`],
     /// [`CounterId::PagePrograms`], [`CounterId::BlockErases`], …,
-    /// plus the derived byte counters), so after any sequence of
-    /// batches the sink totals reconcile exactly with
-    /// [`NandArray::stats`]. The sink never affects timing.
+    /// plus the byte counters, so after any completed batch the sink
+    /// totals reconcile exactly with the growth of
+    /// [`NandArray::stats`] since attach (work done before attach is
+    /// not counted; ops of a batch an error abandoned are sent when the
+    /// next batch ends). The sink never affects timing.
     pub fn set_sink(&mut self, sink: SinkHandle) {
-        self.sink_enabled = sink.is_enabled();
+        self.emitted = self.stats();
         self.sink = sink;
     }
 
@@ -188,46 +195,45 @@ impl NandArray {
     }
 
     /// Aggregate stats across chips.
-    pub fn stats(&self) -> crate::stats::NandStats {
-        let mut total = crate::stats::NandStats::default();
+    pub fn stats(&self) -> NandStats {
+        let mut total = NandStats::default();
         for c in &self.chips {
             total.merge(c.stats());
         }
         total
     }
 
-    /// Mirror one successfully executed op into the sink, matching
-    /// the chip-stats accounting byte for byte: a copy-back counts as
-    /// a program (not a page read), a dual-plane erase counts as one
-    /// dual-plane event (its two internal erases are not block
-    /// erases), exactly as [`crate::stats::NandStats`] nets them out.
-    fn emit_op(&self, op: NandOp) {
+    /// End of a batch with a sink attached (callers check, so the
+    /// null path stays one branch): send the sink the nonzero growth of
+    /// [`NandArray::stats`] since the last send. Bytes follow
+    /// [`NandStats`]'s own rules: a copy-back and both halves of a
+    /// dual-plane program write a page, both halves of a dual-plane
+    /// erase erase a block.
+    fn emit_counts(&mut self) {
+        let now = self.stats();
+        let grown = now.since(&self.emitted);
+        self.emitted = now;
         let page = u64::from(self.config.chip.geometry.page_data_bytes);
         let block = self.config.chip.geometry.block_bytes();
-        match op {
-            NandOp::ReadPage(_) => {
-                self.sink.add(CounterId::PageReads, 1);
-                self.sink.add(CounterId::ReadBytes, page);
-            }
-            NandOp::ProgramPage(_) => {
-                self.sink.add(CounterId::PagePrograms, 1);
-                self.sink.add(CounterId::ProgramBytes, page);
-            }
-            NandOp::EraseBlock(_) => {
-                self.sink.add(CounterId::BlockErases, 1);
-                self.sink.add(CounterId::EraseBytes, block);
-            }
-            NandOp::CopyBack { .. } => {
-                self.sink.add(CounterId::CopyBacks, 1);
-                self.sink.add(CounterId::ProgramBytes, page);
-            }
-            NandOp::DualPlaneProgram(..) => {
-                self.sink.add(CounterId::DualPlanePrograms, 1);
-                self.sink.add(CounterId::ProgramBytes, 2 * page);
-            }
-            NandOp::DualPlaneErase(..) => {
-                self.sink.add(CounterId::DualPlaneErases, 1);
-                self.sink.add(CounterId::EraseBytes, 2 * block);
+        for (id, n) in [
+            (CounterId::PageReads, grown.page_reads),
+            (CounterId::PagePrograms, grown.page_programs),
+            (CounterId::BlockErases, grown.block_erases),
+            (CounterId::CopyBacks, grown.copy_backs),
+            (CounterId::DualPlanePrograms, grown.dual_plane_programs),
+            (CounterId::DualPlaneErases, grown.dual_plane_erases),
+            (CounterId::ReadBytes, grown.page_reads * page),
+            (
+                CounterId::ProgramBytes,
+                grown.physical_pages_written() * page,
+            ),
+            (
+                CounterId::EraseBytes,
+                grown.physical_blocks_erased() * block,
+            ),
+        ] {
+            if n > 0 {
+                self.sink.add(id, n);
             }
         }
     }
@@ -270,9 +276,6 @@ impl NandArray {
                 chip.dual_plane_erase(a.block, b.block)
             }
         }?;
-        if self.sink_enabled {
-            self.emit_op(op);
-        }
         Ok(ns)
     }
 
@@ -299,6 +302,9 @@ impl NandArray {
         }
         for (total, busy) in self.busy_totals.iter_mut().zip(&self.channel_busy) {
             *total += busy;
+        }
+        if self.sink.is_enabled() {
+            self.emit_counts();
         }
         Ok(self.channel_busy.iter().copied().max().unwrap_or(0))
     }
@@ -345,13 +351,6 @@ impl NandArray {
         let ch = self.channel_of_chip(chip) as usize;
         let ns = self.chips[chip as usize].program_run(block, first, n)?;
         self.channel_busy[ch] += ns;
-        if self.sink_enabled {
-            self.sink.add(CounterId::PagePrograms, u64::from(n));
-            self.sink.add(
-                CounterId::ProgramBytes,
-                u64::from(n) * u64::from(self.config.chip.geometry.page_data_bytes),
-            );
-        }
         Ok(())
     }
 
@@ -364,13 +363,6 @@ impl NandArray {
         let ch = self.channel_of_chip(chip) as usize;
         let ns = self.chips[chip as usize].read_tally(n);
         self.channel_busy[ch] += ns;
-        if self.sink_enabled {
-            self.sink.add(CounterId::PageReads, u64::from(n));
-            self.sink.add(
-                CounterId::ReadBytes,
-                u64::from(n) * u64::from(self.config.chip.geometry.page_data_bytes),
-            );
-        }
     }
 
     /// Finish a streaming batch: fold channel times into the running
@@ -378,6 +370,9 @@ impl NandArray {
     pub fn stream_finish(&mut self) -> u64 {
         for (total, busy) in self.busy_totals.iter_mut().zip(&self.channel_busy) {
             *total += busy;
+        }
+        if self.sink.is_enabled() {
+            self.emit_counts();
         }
         self.channel_busy.iter().copied().max().unwrap_or(0)
     }
@@ -395,6 +390,9 @@ impl NandArray {
         }
         for t in self.busy_totals.iter_mut() {
             *t += total;
+        }
+        if self.sink.is_enabled() {
+            self.emit_counts();
         }
         Ok(total)
     }
@@ -627,6 +625,91 @@ mod tests {
             metrics.counter(CounterId::EraseBytes),
             stats.physical_blocks_erased() * a.config().chip.geometry.block_bytes()
         );
+    }
+
+    #[test]
+    fn sink_counts_every_op_kind_once() {
+        use crate::geometry::BlockAddr;
+        use uflip_obs::Metrics;
+        let ba = |chip, block| BlockAddr { chip, block };
+        let mut cfg = NandArrayConfig::tiny();
+        cfg.chip.geometry.planes_per_chip = 2;
+        let geometry = cfg.chip.geometry;
+        let mut a = NandArray::new(cfg);
+        // Work done before the sink is attached is not counted.
+        a.execute(&[NandOp::ProgramPage(pa(0, 0, 0))].into_iter().collect())
+            .unwrap();
+        let (metrics, handle) = Metrics::shared();
+        a.set_sink(handle);
+        let attached = a.stats();
+        let every_kind: Batch = [
+            NandOp::ProgramPage(pa(0, 0, 1)),
+            NandOp::ReadPage(pa(0, 0, 0)),
+            NandOp::CopyBack {
+                src: pa(0, 0, 0),
+                dst: pa(0, 2, 0),
+            },
+            NandOp::DualPlaneProgram(pa(1, 0, 0), pa(1, 1, 0)),
+            NandOp::EraseBlock(ba(0, 4)),
+            NandOp::DualPlaneErase(ba(1, 2), ba(1, 3)),
+        ]
+        .into_iter()
+        .collect();
+        a.execute(&every_kind).unwrap();
+        let serial: Batch = [
+            NandOp::ProgramPage(pa(1, 0, 1)),
+            NandOp::ReadPage(pa(1, 1, 0)),
+        ]
+        .into_iter()
+        .collect();
+        a.execute_serial(&serial).unwrap();
+        a.stream_begin();
+        a.stream_op(NandOp::ReadPage(pa(0, 0, 1))).unwrap();
+        a.stream_program_run(1, 4, 0, 3).unwrap();
+        a.stream_read_tally(0, 5);
+        a.stream_finish();
+        // A batch that fails part-way keeps its first op applied.
+        let failing: Batch = [
+            NandOp::ProgramPage(pa(0, 0, 2)),
+            NandOp::ProgramPage(pa(0, 0, 2)),
+        ]
+        .into_iter()
+        .collect();
+        assert!(a.execute(&failing).is_err());
+        a.execute(&[NandOp::EraseBlock(ba(0, 6))].into_iter().collect())
+            .unwrap();
+
+        let grown = a.stats().since(&attached);
+        for kind in [
+            grown.page_reads,
+            grown.page_programs,
+            grown.block_erases,
+            grown.copy_backs,
+            grown.dual_plane_programs,
+            grown.dual_plane_erases,
+        ] {
+            assert!(kind > 0, "every op kind ran: {grown:?}");
+        }
+        let page = u64::from(geometry.page_data_bytes);
+        for (id, want) in [
+            (CounterId::PageReads, grown.page_reads),
+            (CounterId::PagePrograms, grown.page_programs),
+            (CounterId::BlockErases, grown.block_erases),
+            (CounterId::CopyBacks, grown.copy_backs),
+            (CounterId::DualPlanePrograms, grown.dual_plane_programs),
+            (CounterId::DualPlaneErases, grown.dual_plane_erases),
+            (CounterId::ReadBytes, grown.page_reads * page),
+            (
+                CounterId::ProgramBytes,
+                grown.physical_pages_written() * page,
+            ),
+            (
+                CounterId::EraseBytes,
+                grown.physical_blocks_erased() * geometry.block_bytes(),
+            ),
+        ] {
+            assert_eq!(metrics.counter(id), want, "{id:?}");
+        }
     }
 
     #[test]

@@ -78,6 +78,29 @@ impl ChannelUtilization {
         self.bin_ns *= 2;
     }
 
+    /// Add `other`'s busy time into this timeline, bin by bin, after
+    /// widening the finer of the two to the coarser bin width. Both
+    /// widths are the initial width times a power of two and folding
+    /// loses nothing, so the result is the timeline one accumulator
+    /// would hold had it recorded both streams of intervals.
+    pub(crate) fn absorb(&mut self, mut other: ChannelUtilization) {
+        while self.bin_ns < other.bin_ns {
+            self.rescale();
+        }
+        while other.bin_ns < self.bin_ns {
+            other.rescale();
+        }
+        if self.channels.len() < other.channels.len() {
+            self.channels.resize(other.channels.len(), [0; UTIL_BINS]);
+        }
+        for (mine, theirs) in self.channels.iter_mut().zip(&other.channels) {
+            for (bin, busy) in mine.iter_mut().zip(theirs) {
+                *bin += busy;
+            }
+        }
+        self.horizon_ns = self.horizon_ns.max(other.horizon_ns);
+    }
+
     /// Latest busy end time seen, nanoseconds.
     pub fn horizon_ns(&self) -> u64 {
         self.horizon_ns
@@ -164,6 +187,29 @@ mod tests {
         assert_eq!(snap.channels.len(), 1);
         assert_eq!(snap.channels[0].busy_ns.len(), 2);
         assert_eq!(snap.channels[0].busy_ns.iter().sum::<u64>(), 2_000_000);
+    }
+
+    #[test]
+    fn absorbing_equals_recording_into_one_timeline() {
+        let short = [(0, 0, 3_000_000), (1, 2_500_000, 700_000)];
+        let long = [(0, 1_000_000, 4_000_000), (2, 300_000_000, 9_000_000)];
+        let mut one = ChannelUtilization::new();
+        for &(ch, start, busy) in short.iter().chain(&long) {
+            one.record(ch, start, busy);
+        }
+        // Absorb in both directions: the finer side is always widened.
+        for (first, second) in [(&short, &long), (&long, &short)] {
+            let mut a = ChannelUtilization::new();
+            let mut b = ChannelUtilization::new();
+            for &(ch, start, busy) in first.iter() {
+                a.record(ch, start, busy);
+            }
+            for &(ch, start, busy) in second.iter() {
+                b.record(ch, start, busy);
+            }
+            a.absorb(b);
+            assert_eq!(a.snapshot(), one.snapshot());
+        }
     }
 
     #[test]

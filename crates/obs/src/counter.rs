@@ -1,18 +1,15 @@
-//! Monotonic event counters, sharded to stay contention-free.
+//! Monotonic event counter identities and plain counter snapshots.
 //!
-//! Every counter is a plain `u64` total; recording is a single relaxed
-//! `fetch_add` on a shard owned (statistically) by the calling thread.
-//! Counters only ever move forward: snapshot restores rewind the
-//! *device* but not the work the simulation already performed, so a
-//! counter reads as "events since the sink was attached".
-
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+//! Every counter is a plain `u64` total, kept by [`crate::Metrics`]
+//! as one relaxed atomic. Counters only ever move forward: snapshot
+//! restores rewind the *device* but not the work the simulation
+//! already performed, so a counter reads as "events since the sink
+//! was attached".
 
 /// Identity of one monotonic counter.
 ///
 /// The discriminant indexes fixed-size arrays ([`CounterSnapshot`],
-/// the shards of [`ShardedCounters`]), so the enum must stay dense.
+/// the totals of [`crate::Metrics`]), so the enum must stay dense.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum CounterId {
@@ -149,88 +146,6 @@ impl CounterId {
     }
 }
 
-/// Number of independent shards. Power of two; small enough that
-/// summing a snapshot stays cheap, large enough that the sharded suite
-/// executor's worker threads (bounded by core count) rarely collide.
-const SHARDS: usize = 8;
-
-/// One cache line of counters. The alignment keeps two shards from
-/// sharing a line, which would reintroduce the contention sharding is
-/// meant to remove.
-#[derive(Debug)]
-#[repr(align(128))]
-struct Shard {
-    slots: [AtomicU64; CounterId::COUNT],
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            slots: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// Pick the calling thread's shard: assigned round-robin on first use,
-/// then cached in a thread-local so the record path is one TLS read.
-fn shard_index() -> usize {
-    thread_local! {
-        static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    SHARD.with(|cell| {
-        let mut idx = cell.get();
-        if idx == usize::MAX {
-            idx = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            cell.set(idx);
-        }
-        idx
-    })
-}
-
-/// A bank of monotonic counters sharded across cache-line-padded
-/// atomic slots. Reads sum all shards; writes touch exactly one.
-#[derive(Debug)]
-pub struct ShardedCounters {
-    shards: [Shard; SHARDS],
-}
-
-impl Default for ShardedCounters {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ShardedCounters {
-    /// All counters at zero.
-    pub fn new() -> Self {
-        ShardedCounters {
-            shards: std::array::from_fn(|_| Shard::new()),
-        }
-    }
-
-    /// Add `n` events to `id` (relaxed; no ordering with other data).
-    #[inline]
-    pub fn add(&self, id: CounterId, n: u64) {
-        self.shards[shard_index()].slots[id as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current total for one counter.
-    pub fn get(&self, id: CounterId) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.slots[id as usize].load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Sum every shard into a plain snapshot.
-    pub fn snapshot(&self, out: &mut CounterSnapshot) {
-        for id in CounterId::ALL {
-            out.set(id, self.get(id));
-        }
-    }
-}
-
 /// A plain (non-atomic) copy of every counter at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterSnapshot {
@@ -293,30 +208,30 @@ mod tests {
 
     #[test]
     fn add_sums_across_threads() {
-        let counters = std::sync::Arc::new(ShardedCounters::new());
+        let metrics = std::sync::Arc::new(crate::Metrics::new());
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let c = counters.clone();
+                let m = metrics.clone();
                 scope.spawn(move || {
                     for _ in 0..1000 {
-                        c.add(CounterId::PagePrograms, 2);
+                        m.add(CounterId::PagePrograms, 2);
                     }
                 });
             }
         });
-        assert_eq!(counters.get(CounterId::PagePrograms), 8000);
-        assert_eq!(counters.get(CounterId::PageReads), 0);
+        assert_eq!(metrics.counter(CounterId::PagePrograms), 8000);
+        assert_eq!(metrics.counter(CounterId::PageReads), 0);
     }
 
     #[test]
     fn snapshot_since_subtracts() {
-        let counters = ShardedCounters::new();
+        let metrics = crate::Metrics::new();
         let mut before = CounterSnapshot::new();
-        counters.add(CounterId::BlockErases, 3);
-        counters.snapshot(&mut before);
-        counters.add(CounterId::BlockErases, 4);
+        metrics.add(CounterId::BlockErases, 3);
+        metrics.counters(&mut before);
+        metrics.add(CounterId::BlockErases, 4);
         let mut after = CounterSnapshot::new();
-        counters.snapshot(&mut after);
+        metrics.counters(&mut after);
         assert_eq!(after.since(&before).get(CounterId::BlockErases), 4);
     }
 }

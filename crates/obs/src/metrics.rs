@@ -1,11 +1,12 @@
-//! The recording sink and its versioned JSON snapshot.
+//! The recorder and its versioned JSON snapshot.
 
 use crate::channel::{ChannelUtilization, UtilizationSnapshot};
-use crate::counter::{CounterId, CounterSnapshot, ShardedCounters};
+use crate::counter::{CounterId, CounterSnapshot};
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
-use crate::sink::{LatencyClass, ObsSink, SinkHandle, WorkloadMetrics};
+use crate::sink::{LatencyClass, SinkHandle, WorkloadMetrics};
 use crate::SNAPSHOT_VERSION;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Lock a metrics mutex, recovering the data if a recording thread
@@ -15,15 +16,24 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The standard recording sink: sharded counters, one latency
+/// Clone what a metrics mutex holds, releasing the lock before
+/// returning — so one recorder's list can be copied before another
+/// recorder's lock is taken.
+fn clone_locked<T: Clone>(m: &Mutex<T>) -> T {
+    lock_or_recover(m).clone()
+}
+
+/// The recorder: one atomic total per [`CounterId`], one latency
 /// histogram per [`LatencyClass`], a channel-utilization timeline and
 /// the per-workload derived metrics.
 ///
-/// Counter and histogram recording is lock-free; only channel-busy
-/// events and workload summaries (rare) take a mutex.
+/// Counter and histogram recording is lock-free (relaxed
+/// `fetch_add`); only channel-busy events and workload summaries take
+/// a mutex. Concurrent runs each get their own recorder and are
+/// combined afterwards with [`Metrics::merge`].
 #[derive(Debug, Default)]
 pub struct Metrics {
-    counters: ShardedCounters,
+    counters: [AtomicU64; CounterId::COUNT],
     latency: [LatencyHistogram; LatencyClass::COUNT],
     utilization: Mutex<ChannelUtilization>,
     workloads: Mutex<Vec<(String, WorkloadMetrics)>>,
@@ -42,9 +52,29 @@ impl Metrics {
         (metrics, handle)
     }
 
+    /// Add `n` events to a monotonic counter (relaxed: no ordering
+    /// with other data).
+    #[inline]
+    pub fn add(&self, id: CounterId, n: u64) {
+        self.counters[id as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Current total of one counter.
     pub fn counter(&self, id: CounterId) -> u64 {
-        self.counters.get(id)
+        self.counters[id as usize].load(Ordering::Relaxed)
+    }
+
+    /// Copy every counter total into `out`.
+    pub fn counters(&self, out: &mut CounterSnapshot) {
+        for id in CounterId::ALL {
+            out.set(id, self.counter(id));
+        }
+    }
+
+    /// Record one response time (nanoseconds) for a latency class.
+    #[inline]
+    pub fn record_latency(&self, class: LatencyClass, ns: u64) {
+        self.latency[class as usize].record(ns);
     }
 
     /// The latency histogram of one class.
@@ -52,10 +82,42 @@ impl Metrics {
         &self.latency[class as usize]
     }
 
+    /// Record `busy_ns` of channel occupancy starting at `start_ns`
+    /// (device time).
+    pub fn channel_busy(&self, channel: usize, start_ns: u64, busy_ns: u64) {
+        lock_or_recover(&self.utilization).record(channel, start_ns, busy_ns);
+    }
+
+    /// Record derived metrics for one completed workload run.
+    pub fn workload(&self, label: &str, metrics: WorkloadMetrics) {
+        lock_or_recover(&self.workloads).push((label.to_string(), metrics));
+    }
+
+    /// Fold everything `other` recorded into this recorder: counters
+    /// add, histograms merge, channel timelines add bin by bin at the
+    /// coarser of the two bin widths, and `other`'s workload records
+    /// follow this one's. Merging the recorders of independent runs
+    /// in run order gives what one recorder watching them in that
+    /// order would hold.
+    pub fn merge(&self, other: &Metrics) {
+        for id in CounterId::ALL {
+            self.add(id, other.counter(id));
+        }
+        for (mine, theirs) in self.latency.iter().zip(&other.latency) {
+            mine.merge(theirs);
+        }
+        // Copy `other`'s lists out before locking this recorder's, so
+        // no thread ever holds two recorder locks at once.
+        let timeline = clone_locked(&other.utilization);
+        let workloads = clone_locked(&other.workloads);
+        lock_or_recover(&self.utilization).absorb(timeline);
+        lock_or_recover(&self.workloads).extend(workloads);
+    }
+
     /// Serializable snapshot of everything recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters = CounterSnapshot::new();
-        self.counters.snapshot(&mut counters);
+        self.counters(&mut counters);
         MetricsSnapshot {
             version: SNAPSHOT_VERSION,
             counters: counters
@@ -85,32 +147,6 @@ impl Metrics {
                 })
                 .collect(),
         }
-    }
-}
-
-impl ObsSink for Metrics {
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
-    fn add(&self, id: CounterId, n: u64) {
-        self.counters.add(id, n);
-    }
-
-    fn latency(&self, class: LatencyClass, ns: u64) {
-        self.latency[class as usize].record(ns);
-    }
-
-    fn channel_busy(&self, channel: usize, start_ns: u64, busy_ns: u64) {
-        lock_or_recover(&self.utilization).record(channel, start_ns, busy_ns);
-    }
-
-    fn counters(&self, out: &mut CounterSnapshot) {
-        self.counters.snapshot(out);
-    }
-
-    fn workload(&self, label: &str, metrics: WorkloadMetrics) {
-        lock_or_recover(&self.workloads).push((label.to_string(), metrics));
     }
 }
 
@@ -226,6 +262,26 @@ mod tests {
         assert!(snap.utilization.is_some());
         let back = MetricsSnapshot::from_json(&snap.to_json_pretty()).expect("parse back");
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn merge_adds_what_the_other_recorder_saw() {
+        let (whole, whole_sink) = Metrics::shared();
+        let (first, first_sink) = Metrics::shared();
+        let (second, second_sink) = Metrics::shared();
+        for (part, ns, start) in [(&first_sink, 300, 0), (&second_sink, 90_000, 200_000_000)] {
+            for sink in [part, &whole_sink] {
+                sink.add(CounterId::HostWrites, 2);
+                sink.latency(LatencyClass::Write, ns);
+                sink.channel_busy(1, start, 5_000_000);
+                sink.workload(&format!("run@{start}"), WorkloadMetrics::default());
+            }
+        }
+        let (merged, merged_sink) = Metrics::shared();
+        merged_sink.merge(&first);
+        merged_sink.merge(&second);
+        assert_eq!(merged.snapshot(), whole.snapshot());
+        assert_eq!(merged.counter(CounterId::HostWrites), 4);
     }
 
     #[test]

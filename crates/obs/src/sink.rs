@@ -1,15 +1,16 @@
-//! The sink trait instrumented layers emit into, and the attach
-//! handle threaded through the stack.
+//! The attach handle threaded through the stack, and the event types
+//! it carries.
 //!
-//! Design rule: observation must never perturb measurement. Sinks
-//! receive events *about* simulated or wall-clock time but never
-//! advance either; every default method is an empty no-op so the
-//! disabled path compiles to nothing. Instrumented components
-//! additionally cache [`ObsSink::is_enabled`] in a plain `bool` at
-//! attach time, making the per-event cost of a disabled sink one
-//! predictable branch.
+//! Design rule: observation must never perturb measurement. The
+//! recorder receives events *about* simulated or wall-clock time but
+//! never advances either. A [`SinkHandle`] holds either a shared
+//! [`Metrics`] recorder or nothing, and every layer calls it directly:
+//! the per-event cost of the null handle is one predictable branch on
+//! a field the layer already holds — no virtual call, no atomic, no
+//! allocation.
 
 use crate::counter::{CounterId, CounterSnapshot};
+use crate::metrics::Metrics;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -93,69 +94,71 @@ impl WorkloadMetrics {
     }
 }
 
-/// Receiver for observability events from every layer of the stack.
-///
-/// All methods default to no-ops; a sink implements only what it
-/// records. Implementations must be cheap and non-blocking enough to
-/// sit on IO hot paths, and must never influence timing-visible
-/// behaviour of the emitting component.
-pub trait ObsSink: Send + Sync {
-    /// Whether events are recorded at all. Components cache this at
-    /// attach time and skip emission entirely when `false`.
-    fn is_enabled(&self) -> bool {
-        false
+/// Cloneable handle to a shared [`Metrics`] recorder, threaded from
+/// bench bins down to the NAND array — or to nothing: both `Default`
+/// and [`SinkHandle::null`] hold no recorder, so instrumented structs
+/// initialize to "disabled". Every method is one null check before
+/// the recorder call.
+#[derive(Clone, Default)]
+pub struct SinkHandle(Option<Arc<Metrics>>);
+
+impl SinkHandle {
+    /// The disabled handle.
+    pub fn null() -> Self {
+        SinkHandle(None)
+    }
+
+    /// Whether a recorder is attached.
+    #[inline]
+    pub fn is_enabled(&self) -> bool {
+        self.0.is_some()
     }
 
     /// Add `n` events to a monotonic counter.
-    fn add(&self, _id: CounterId, _n: u64) {}
+    #[inline]
+    pub fn add(&self, id: CounterId, n: u64) {
+        if let Some(m) = &self.0 {
+            m.add(id, n);
+        }
+    }
 
     /// Record one response time (nanoseconds) for a latency class.
-    fn latency(&self, _class: LatencyClass, _ns: u64) {}
+    #[inline]
+    pub fn latency(&self, class: LatencyClass, ns: u64) {
+        if let Some(m) = &self.0 {
+            m.record_latency(class, ns);
+        }
+    }
 
     /// Record `busy_ns` of channel occupancy starting at `start_ns`
     /// (device time).
-    fn channel_busy(&self, _channel: usize, _start_ns: u64, _busy_ns: u64) {}
+    pub fn channel_busy(&self, channel: usize, start_ns: u64, busy_ns: u64) {
+        if let Some(m) = &self.0 {
+            m.channel_busy(channel, start_ns, busy_ns);
+        }
+    }
 
     /// Read back the current counter totals (for derived per-run
-    /// metrics). No-op sinks leave `out` untouched.
-    fn counters(&self, _out: &mut CounterSnapshot) {}
+    /// metrics). The null handle leaves `out` untouched.
+    pub fn counters(&self, out: &mut CounterSnapshot) {
+        if let Some(m) = &self.0 {
+            m.counters(out);
+        }
+    }
 
     /// Record derived metrics for one completed workload run.
-    fn workload(&self, _label: &str, _metrics: WorkloadMetrics) {}
-}
-
-/// The do-nothing sink: every method is the trait default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl ObsSink for NullSink {}
-
-/// Cloneable handle to a shared sink, threaded from bench bins down
-/// to the NAND array. `Default` is a [`NullSink`], so instrumented
-/// structs can `#[derive(Default)]`-style initialize to "disabled".
-#[derive(Clone)]
-pub struct SinkHandle(Arc<dyn ObsSink>);
-
-impl SinkHandle {
-    /// Wrap a shared sink.
-    pub fn new(sink: Arc<dyn ObsSink>) -> Self {
-        SinkHandle(sink)
+    pub fn workload(&self, label: &str, metrics: WorkloadMetrics) {
+        if let Some(m) = &self.0 {
+            m.workload(label, metrics);
+        }
     }
 
-    /// The disabled handle.
-    pub fn null() -> Self {
-        SinkHandle(Arc::new(NullSink))
-    }
-
-    /// Whether the underlying sink records events (cache this).
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_enabled()
-    }
-}
-
-impl Default for SinkHandle {
-    fn default() -> Self {
-        SinkHandle::null()
+    /// Fold everything `other` recorded into the attached recorder
+    /// (see [`Metrics::merge`]).
+    pub fn merge(&self, other: &Metrics) {
+        if let Some(m) = &self.0 {
+            m.merge(other);
+        }
     }
 }
 
@@ -167,17 +170,9 @@ impl std::fmt::Debug for SinkHandle {
     }
 }
 
-impl std::ops::Deref for SinkHandle {
-    type Target = dyn ObsSink;
-
-    fn deref(&self) -> &(dyn ObsSink + 'static) {
-        &*self.0
-    }
-}
-
-impl<S: ObsSink + 'static> From<Arc<S>> for SinkHandle {
-    fn from(sink: Arc<S>) -> Self {
-        SinkHandle(sink)
+impl From<Arc<Metrics>> for SinkHandle {
+    fn from(metrics: Arc<Metrics>) -> Self {
+        SinkHandle(Some(metrics))
     }
 }
 

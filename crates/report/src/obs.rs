@@ -166,14 +166,14 @@ pub fn render_metrics(snap: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uflip_obs::{CounterId, LatencyClass, Metrics, ObsSink, WorkloadMetrics};
+    use uflip_obs::{CounterId, LatencyClass, Metrics, WorkloadMetrics};
 
     fn sample() -> MetricsSnapshot {
         let metrics = Metrics::new();
         metrics.add(CounterId::PagePrograms, 42);
         metrics.add(CounterId::ProgramBytes, 42 * 2048);
         for i in 1..=200u64 {
-            ObsSink::latency(&metrics, LatencyClass::Write, i * 10_000);
+            metrics.record_latency(LatencyClass::Write, i * 10_000);
         }
         metrics.channel_busy(0, 0, 800_000);
         metrics.channel_busy(1, 1_000_000, 400_000);

@@ -21,9 +21,10 @@
 //!   ASCII plots and serialization;
 //! * [`trace`] — IO trace capture/serialization and synthetic
 //!   DB-shaped workload generators, replayed via [`core::replay`];
-//! * [`obs`] — zero-overhead observability: sharded counters, latency
-//!   histograms and channel-utilization timelines behind the
-//!   [`obs::ObsSink`] trait every layer emits into.
+//! * [`obs`] — zero-overhead observability: counters, latency
+//!   histograms and channel-utilization timelines in an
+//!   [`obs::Metrics`] recorder, reached through the [`obs::SinkHandle`]
+//!   every layer counts into.
 //!
 //! ## Quickstart
 //!

@@ -44,9 +44,11 @@ fn every_suppression_carries_a_reason() {
 }
 
 /// The lock-order graph must stay acyclic: this is the deadlock-freedom
-/// contract for the parallel executors (ROADMAP item 3). A cycle here
-/// fails CI via `--deny` as well; the test keeps the invariant visible
-/// under plain `cargo test`.
+/// contract for the code that shares state across threads (the sharded
+/// plan executor, the threaded IO queue's workers), since two locks
+/// taken in both orders anywhere can deadlock once those threads
+/// overlap. A cycle here fails CI via `--deny` as well; the test keeps
+/// the invariant visible under plain `cargo test`.
 #[test]
 fn lock_order_graph_is_acyclic() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));

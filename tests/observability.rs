@@ -150,9 +150,9 @@ fn suite_counters_reconcile_with_device_ground_truth() {
     assert!(measured > 0, "suite measured nothing");
 }
 
-/// A plan sharded over two workers feeds the sink the same counters
-/// and latencies as the serial run and measures the same result; only
-/// the serial run emits a per-run workload record.
+/// A plan sharded over two workers feeds the sink the same counters,
+/// latencies, channel timeline and per-run workload records as the
+/// serial run, and measures the same result.
 #[test]
 fn sharded_plan_observes_what_the_serial_plan_observes() {
     let profile = catalog::transcend_module();
@@ -179,8 +179,9 @@ fn sharded_plan_observes_what_the_serial_plan_observes() {
     assert_eq!(serial, sharded);
     assert_eq!(serial_obs.counters, sharded_obs.counters);
     assert_eq!(serial_obs.latency, sharded_obs.latency);
+    assert_eq!(serial_obs.utilization, sharded_obs.utilization);
     assert_eq!(serial_obs.workloads.len(), runs);
-    assert!(sharded_obs.workloads.is_empty());
+    assert_eq!(serial_obs.workloads, sharded_obs.workloads);
 }
 
 /// Attaching a *recording* sink must not shift a single simulated
@@ -217,7 +218,7 @@ fn recording_sink_leaves_runs_fingerprint_identical() {
 
     // The null sink reports disabled, so instrumented layers skip
     // emission entirely — the documented zero-overhead default.
-    assert!(!uflip::obs::ObsSink::is_enabled(&*SinkHandle::null()));
+    assert!(!SinkHandle::null().is_enabled());
 }
 
 /// `execute_run_with_policy` observes the run whatever the policy: an
